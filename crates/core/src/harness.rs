@@ -287,25 +287,12 @@ impl Harness {
     }
 
     /// Runs `warmup` logical seconds (policy active, samples discarded)
-    /// followed by `measure` recorded seconds.
+    /// followed by `measure` recorded seconds: [`Harness::run_supervised`]
+    /// from second 0 with a supervisor that never intervenes.
     pub fn run(&mut self, warmup: u64, measure: u64) -> RunReport {
-        let mut samples = Vec::with_capacity(measure as usize);
-        for second in 0..warmup + measure {
-            self.system.run_logical_seconds(1);
-            let sample = self.system.sample();
-            if let Some(policy) = self.policy.as_mut() {
-                policy.tick(&mut self.system, &sample);
-            }
-            if second >= warmup {
-                samples.push(sample);
-            }
-        }
-        RunReport {
-            policy: self
-                .policy
-                .as_ref()
-                .map_or("none".into(), |p| p.name().to_string()),
-            samples,
+        match self.run_supervised(warmup, measure, 0, Vec::new(), &mut Unsupervised) {
+            Ok(report) => report,
+            Err(_) => unreachable!("an unsupervised run never aborts"),
         }
     }
 
@@ -409,6 +396,16 @@ pub trait RunSupervisor {
     /// Called after each logical second. Returning `Err(reason)` aborts
     /// the run with a [`RunAborted`].
     fn after_second(&mut self, ctx: SupervisorCtx<'_>) -> Result<(), String>;
+}
+
+/// The supervisor of an unsupervised [`Harness::run`]: observes every
+/// second and never aborts.
+struct Unsupervised;
+
+impl RunSupervisor for Unsupervised {
+    fn after_second(&mut self, _ctx: SupervisorCtx<'_>) -> Result<(), String> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -69,7 +69,9 @@
 //!                   (default off; 1000 quanta = 1 logical second). A
 //!                   killed worker's replacement resumes each cell from
 //!                   its latest valid checkpoint instead of quantum 0;
-//!                   results are bit-identical either way
+//!                   results are bit-identical either way. Applies to
+//!                   every mode that runs cells: direct figure runs,
+//!                   --spec runs, --shard, --worker and --serve
 //! --max-attempts N: executions a task gets before --worker/--serve
 //!                   quarantine it as exhausted instead of retrying
 //!                   (default 3); distinct from parse-poison
@@ -677,7 +679,7 @@ fn main() {
                         .clone()
                         .replica(r)
                         .run_specs(&specs)
-                        .unwrap_or_else(|e| fail(format!("spec failed to build: {e}")))
+                        .unwrap_or_else(|e| fail(format!("spec failed: {e}")))
                         .iter()
                         .map(spec_table)
                         .collect()
@@ -690,7 +692,7 @@ fn main() {
         } else {
             let runs = runner
                 .run_specs(&specs)
-                .unwrap_or_else(|e| fail(format!("spec failed to build: {e}")));
+                .unwrap_or_else(|e| fail(format!("spec failed: {e}")));
             tables.extend(runs.iter().map(spec_table));
         }
     }

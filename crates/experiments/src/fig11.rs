@@ -6,7 +6,7 @@
 //! blocks) and X-Mem 1 (HPW) / X-Mem 2 (LPW) / X-Mem 3 (LPW, detected
 //! antagonist); packet size swept 64 B to 1514 B.
 
-use crate::runner::{SweepRunner, TypedAxis, TypedSweep2};
+use crate::runner::{TypedAxis, TypedSweep2};
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, Scheme, WorkloadSpec};
 use crate::table::Table;
 use a4_model::Priority;
@@ -113,18 +113,6 @@ pub fn table(runs: &[ScenarioRun]) -> Table {
         table.push(label.clone(), row);
     }
     table
-}
-
-/// Runs the full figure serially.
-pub fn run(opts: &RunOpts) -> Table {
-    run_with(opts, &SweepRunner::serial())
-}
-
-/// Runs the full figure, fanning cells out over `runner`: per packet
-/// size, per scheme, IPC and LLC hit rate of each X-Mem.
-pub fn run_with(opts: &RunOpts, runner: &SweepRunner) -> Table {
-    let runs = runner.run_specs(&specs(opts)).expect("static fig11 layout");
-    table(&runs)
 }
 
 #[cfg(test)]

@@ -51,11 +51,6 @@ pub fn table(runs: &[ScenarioRun]) -> Table {
     table
 }
 
-/// Runs the full figure serially.
-pub fn run(opts: &RunOpts) -> Table {
-    run_with(opts, &SweepRunner::serial())
-}
-
 /// Runs the full figure, fanning cells out over `runner`: per block
 /// size, per scheme, DPDK-T tail latency (µs) and network read
 /// throughput (GB/s).

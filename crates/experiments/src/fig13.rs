@@ -112,11 +112,6 @@ pub fn specs(opts: &RunOpts, hpw_heavy: bool) -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// Runs one scenario across all six schemes, serially.
-pub fn run(opts: &RunOpts, hpw_heavy: bool) -> Table {
-    run_with(opts, hpw_heavy, &SweepRunner::serial())
-}
-
 /// Runs one scenario across all six schemes, fanning the cells out over
 /// `runner`; rows are workloads plus the Avg(HP)/Avg(LP)/Avg(all)
 /// summary rows, columns are relative performance per scheme (normalized

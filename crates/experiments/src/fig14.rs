@@ -7,7 +7,6 @@
 //! * 14c — system-wide I/O throughput (Fastclick Rx/Tx, FFSB-H R/W);
 //! * 14d — system-wide memory read/write bandwidth.
 
-use crate::runner::SweepRunner;
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, Scheme, WorkloadSpec};
 use crate::table::Table;
 use a4_model::Priority;
@@ -51,18 +50,6 @@ pub fn specs(opts: &RunOpts) -> Vec<ScenarioSpec> {
         .into_iter()
         .map(|s| mix_spec(opts, s))
         .collect()
-}
-
-/// Runs all four panels serially; returns `[fig14a, fig14b, fig14c,
-/// fig14d]`.
-pub fn run(opts: &RunOpts) -> Vec<Table> {
-    run_with(opts, &SweepRunner::serial())
-}
-
-/// Runs all four panels, fanning the scheme cells out over `runner`.
-pub fn run_with(opts: &RunOpts, runner: &SweepRunner) -> Vec<Table> {
-    let runs = runner.run_specs(&specs(opts)).expect("static fig14 layout");
-    tables(&runs)
 }
 
 /// Renders all four panels from the runs of [`specs`] (same order, one

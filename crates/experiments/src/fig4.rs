@@ -6,7 +6,7 @@
 //! `[0:1]`, `[3:4]`, `[5:6]`, `[9:10]`), once with DCA on and once with
 //! DCA globally off, plus an X-Mem solo reference.
 
-use crate::runner::{SweepRunner, TypedAxis, TypedSweep2};
+use crate::runner::{TypedAxis, TypedSweep2};
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, WorkloadSpec};
 use crate::table::Table;
 use a4_model::{Priority, WayMask};
@@ -127,17 +127,6 @@ fn point_metrics(run: &ScenarioRun, with_xmem: bool) -> (f64, f64) {
         0.0
     };
     (p99_us, miss)
-}
-
-/// Runs the full figure serially.
-pub fn run(opts: &RunOpts) -> Table {
-    run_with(opts, &SweepRunner::serial())
-}
-
-/// Runs the full figure, fanning cells out over `runner`.
-pub fn run_with(opts: &RunOpts, runner: &SweepRunner) -> Table {
-    let runs = runner.run_specs(&specs(opts)).expect("static fig4 layout");
-    table(&runs)
 }
 
 #[cfg(test)]

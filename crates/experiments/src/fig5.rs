@@ -5,7 +5,7 @@
 //! Setup (§3.2): FIO alone, 4 threads, random read, `O_DIRECT`, QD 32
 //! total, block size swept 4 KB – 2 MB (scaled), DCA on vs off.
 
-use crate::runner::{SweepRunner, TypedAxis, TypedSweep2};
+use crate::runner::{TypedAxis, TypedSweep2};
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, WorkloadSpec};
 use crate::table::Table;
 use a4_model::Priority;
@@ -78,17 +78,6 @@ pub fn run_point(opts: &RunOpts, block_kib: u64, dca_on: bool) -> (f64, f64) {
         .expect("static fig5 layout")
         .run();
     (run.io_gbps("fio"), run.mem_read_gbps())
-}
-
-/// Runs the full figure serially.
-pub fn run(opts: &RunOpts) -> Table {
-    run_with(opts, &SweepRunner::serial())
-}
-
-/// Runs the full figure, fanning cells out over `runner`.
-pub fn run_with(opts: &RunOpts, runner: &SweepRunner) -> Table {
-    let runs = runner.run_specs(&specs(opts)).expect("static fig5 layout");
-    table(&runs)
 }
 
 #[cfg(test)]

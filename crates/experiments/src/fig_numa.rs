@@ -29,7 +29,7 @@
 //! paper has no such figure; it exists because the simulator's link
 //! model makes the saturation cliff measurable.
 
-use crate::runner::{SweepRunner, TypedAxis, TypedSweep2};
+use crate::runner::{TypedAxis, TypedSweep2};
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, Scheme, SystemTweaks, WorkloadSpec};
 use crate::table::Table;
 use a4_model::Priority;
@@ -129,21 +129,6 @@ pub fn mix_spec(opts: &RunOpts, scheme: Scheme, placement: Placement) -> Scenari
 /// enumerates).
 pub fn specs(opts: &RunOpts) -> Vec<ScenarioSpec> {
     grid().map(|&placement, &scheme| mix_spec(opts, scheme, placement))
-}
-
-/// Runs the full figure serially.
-pub fn run(opts: &RunOpts) -> Table {
-    run_with(opts, &SweepRunner::serial())
-}
-
-/// Runs the full figure, fanning cells out over `runner`: per placement,
-/// per scheme, DPDK-T p99 latency (µs) and rx throughput (GB/s), FIO
-/// mean block latency (µs) and I/O throughput (GB/s).
-pub fn run_with(opts: &RunOpts, runner: &SweepRunner) -> Table {
-    let runs = runner
-        .run_specs(&specs(opts))
-        .expect("static fig_numa grid");
-    table(&runs)
 }
 
 /// Renders the figure from the runs of [`specs`] (same order).

@@ -6,10 +6,13 @@
 //! a ready harness with `ScenarioSpec::build()`; sweeps fan their cells
 //! out over threads with a [`runner::SweepRunner`] and collect
 //! deterministically. One module per figure; each exposes `specs(opts)`
-//! (the grid as data), a pure `table(runs)`/`tables(runs)` renderer,
-//! `run(opts)` (serial) and `run_with(opts, runner)` (parallel)
-//! returning [`Table`]s whose rows/series correspond to what the paper
-//! plots. The [`service`] module ties the two halves together: a
+//! (the grid as data) and a pure `table(runs)`/`tables(runs)` renderer
+//! producing [`Table`]s whose rows/series correspond to what the paper
+//! plots. Figures run through the registry ([`service::figures`]) and a
+//! [`service::SweepJob`]; whichever entry point starts a cell, it runs
+//! through the runner's one supervised path (seed derivation, store
+//! lookup, checkpoint resume, watchdog, store). The [`service`] module
+//! ties the two halves together: a
 //! [`service::SweepJob`] describes a figure sweep as serializable data
 //! that any process can execute in [`service::Shard`]s against the
 //! shared content-addressed store ([`cache::ResultCache`]), with a

@@ -18,9 +18,10 @@ use a4_sim::MonitorSample;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// Derives a per-cell seed from a base seed (SplitMix64 mixing): cells
 /// get decorrelated RNG streams while remaining a pure function of
@@ -33,6 +34,28 @@ pub fn derive_seed(base: u64, cell: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The effective spec of cell `index`: the one place cell seeds are
+/// derived. With a `replica` the seed is doubly derived,
+/// [`derive_seed`]`(`[`derive_seed`]`(spec_seed, replica), index)`, so
+/// it is decorrelated across both replicas and cells; otherwise
+/// `per_cell` selects [`derive_seed`]`(spec_seed, index)`, and neither
+/// keeps the spec's own seed.
+pub(crate) fn cell_spec(
+    spec: &ScenarioSpec,
+    replica: Option<u64>,
+    per_cell: bool,
+    index: u64,
+) -> ScenarioSpec {
+    let base = spec.opts.seed;
+    match replica {
+        Some(r) => spec
+            .clone()
+            .with_seed(derive_seed(derive_seed(base, r), index)),
+        None if per_cell => spec.clone().with_seed(derive_seed(base, index)),
+        None => spec.clone(),
+    }
 }
 
 /// One named sweep axis with display labels for its values.
@@ -357,6 +380,9 @@ impl SweepOutcome {
     }
 }
 
+/// One pooled item's result, or the payload of its panic.
+type Caught<R> = Result<R, Box<dyn Any + Send>>;
+
 /// Renders a caught panic payload (the `&str`/`String` forms `panic!`
 /// produces; anything else is labelled opaquely).
 fn panic_reason(payload: &(dyn Any + Send)) -> String {
@@ -461,7 +487,7 @@ impl SweepRunner {
 
     /// Enables periodic checkpointing through `store`: every `every`
     /// quanta (per cell, at logical-second granularity, `0` = never)
-    /// [`SweepRunner::run_specs_robust`] snapshots the cell's complete
+    /// every cell this runner executes snapshots its complete
     /// simulation state, and a later run of the same cell resumes from
     /// the latest valid checkpoint bit-identically.
     pub fn with_ckpt(mut self, store: CkptStore, every: u64) -> Self {
@@ -483,120 +509,100 @@ impl SweepRunner {
         self
     }
 
-    /// Maps `f` over `items` in parallel, catching per-item panics;
-    /// `results[i]` corresponds to `items[i]` regardless of thread
-    /// count, with a panicking item yielding `Err(payload)` while every
-    /// other item still completes.
-    fn map_caught<T, R, F>(&self, items: &[T], f: F) -> Vec<Result<R, Box<dyn Any + Send>>>
+    /// Maps `f` over `items` on a pool of `threads` workers, catching
+    /// per-item panics: `results[i]` corresponds to `items[i]`
+    /// regardless of thread count, with a panicking item yielding
+    /// `Err(payload)` while every other item still completes.
+    ///
+    /// `progress(done)` runs on the calling thread after each finished
+    /// item. Once it returns [`ControlFlow::Break`] no worker claims
+    /// another item; the items in flight still finish, and the result
+    /// is `Break(done)`, the number of items that finished.
+    fn map_caught<T, R, F>(
+        &self,
+        items: &[T],
+        f: F,
+        mut progress: impl FnMut(usize) -> ControlFlow<()>,
+    ) -> ControlFlow<usize, Vec<Caught<R>>>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let run = |i: usize, t: &T| catch_unwind(AssertUnwindSafe(|| f(i, t)));
+        let run = |i: usize| catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
+        let mut results: Vec<Option<Caught<R>>> = items.iter().map(|_| None).collect();
+        let mut done = 0;
+        let stop = AtomicBool::new(false);
         let threads = self.threads.min(items.len()).max(1);
         if threads == 1 {
-            return items.iter().enumerate().map(|(i, t)| run(i, t)).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<Result<R, _>>>> =
-            Mutex::new((0..items.len()).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let r = run(i, &items[i]);
-                    // `run` caught any panic, so no worker can poison
-                    // the results mutex.
-                    results.lock().expect("workers cannot panic")[i] = Some(r);
-                });
-            }
-        });
-        results
-            .into_inner()
-            .expect("all workers joined")
-            .into_iter()
-            .map(|r| r.expect("every index visited exactly once"))
-            .collect()
-    }
-
-    /// Maps `f` over `items` in parallel; `results[i] == f(i,
-    /// &items[i])` regardless of thread count.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first (by item index) panic from `f` with its
-    /// original payload, after every non-panicking item has completed.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let mut out = Vec::with_capacity(items.len());
-        let mut caught = None;
-        for r in self.map_caught(items, f) {
-            match r {
-                Ok(v) => out.push(v),
-                Err(payload) => {
-                    caught.get_or_insert(payload);
+            // On the calling thread, so a break stops right after the
+            // item that triggered it and the order of side effects is
+            // fixed.
+            for (i, slot) in results.iter_mut().enumerate() {
+                *slot = Some(run(i));
+                done += 1;
+                if progress(done).is_break() {
+                    stop.store(true, Ordering::Relaxed);
+                    break;
                 }
             }
+        } else {
+            let cursor = AtomicUsize::new(0);
+            let (tx, rx) = mpsc::channel();
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    let tx = tx.clone();
+                    let (cursor, stop, run) = (&cursor, &stop, &run);
+                    scope.spawn(move || {
+                        while !stop.load(Ordering::Relaxed) {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= items.len() {
+                                break;
+                            }
+                            // `run` caught any panic, and the receiver
+                            // outlives every worker, so the send succeeds.
+                            tx.send((i, run(i))).ok();
+                        }
+                    });
+                }
+                // The workers hold the remaining senders, so the loop
+                // ends when the last of them exits.
+                drop(tx);
+                for (i, r) in rx {
+                    results[i] = Some(r);
+                    done += 1;
+                    if !stop.load(Ordering::Relaxed) && progress(done).is_break() {
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                }
+            });
         }
-        if let Some(payload) = caught {
-            std::panic::resume_unwind(payload);
+        if stop.into_inner() {
+            return ControlFlow::Break(done);
         }
-        out
+        ControlFlow::Continue(
+            results
+                .into_iter()
+                .map(|r| r.expect("without a break every item ran"))
+                .collect(),
+        )
     }
 
-    /// Builds and runs every spec, in parallel, returning the runs in
-    /// spec order. With a cache attached ([`SweepRunner::with_cache_dir`])
-    /// cells present in the cache are loaded instead of simulated.
+    /// Builds and runs every spec through the supervised cell path of
+    /// [`SweepRunner::run_specs_robust`], returning the runs in spec
+    /// order. The cache ([`SweepRunner::with_cache_dir`]), checkpoint
+    /// store ([`SweepRunner::with_ckpt`]) and watchdog
+    /// ([`SweepRunner::with_quantum_budget`]) all apply.
     ///
     /// # Errors
     ///
-    /// Returns the first (by cell index) build failure.
-    pub fn run_specs(&self, specs: &[ScenarioSpec]) -> Result<Vec<ScenarioRun>, SpecError> {
-        let runs = self.map(specs, |i, spec| {
-            let spec = if let Some(r) = self.replica {
-                spec.clone()
-                    .with_seed(derive_seed(derive_seed(spec.opts.seed, r), i as u64))
-            } else if self.derive_seeds {
-                spec.clone()
-                    .with_seed(derive_seed(spec.opts.seed, i as u64))
-            } else {
-                spec.clone()
-            };
-            if let Some(cache) = &self.cache {
-                let key = spec_key(&spec);
-                if let Some(report) = cache.load(&key) {
-                    return Ok(spec.run_from_report(report));
-                }
-                return spec.build().map(|scenario| {
-                    let run = scenario.run();
-                    cache.store(&key, &run.report);
-                    run
-                });
-            }
-            spec.build().map(crate::spec::Scenario::run)
-        });
-        runs.into_iter().collect()
-    }
-
-    /// The effective spec of cell `i` after seed derivation — the same
-    /// transformation [`SweepRunner::run_specs`] applies.
-    fn effective_spec(&self, i: usize, spec: &ScenarioSpec) -> ScenarioSpec {
-        if let Some(r) = self.replica {
-            spec.clone()
-                .with_seed(derive_seed(derive_seed(spec.opts.seed, r), i as u64))
-        } else if self.derive_seeds {
-            spec.clone()
-                .with_seed(derive_seed(spec.opts.seed, i as u64))
-        } else {
-            spec.clone()
+    /// Returns the first (by cell index) failed cell: a build failure,
+    /// a panic or a watchdog abort.
+    pub fn run_specs(&self, specs: &[ScenarioSpec]) -> Result<Vec<ScenarioRun>, CellFailure> {
+        let outcome = self.run_specs_robust(specs);
+        match outcome.failures.into_iter().next() {
+            Some(failure) => Err(failure),
+            None => Ok(outcome.runs.into_iter().flatten().collect()),
         }
     }
 
@@ -640,7 +646,7 @@ impl SweepRunner {
     /// Runs one cell under supervision: cache lookup, checkpoint
     /// resume, watchdog, checkpointed execution, store + cleanup.
     fn run_one(&self, i: usize, spec: &ScenarioSpec) -> Result<ScenarioRun, CellFailure> {
-        let spec = self.effective_spec(i, spec);
+        let spec = cell_spec(spec, self.replica, self.derive_seeds, i as u64);
         let key = spec_key(&spec);
         if let Some(cache) = &self.cache {
             if let Some(report) = cache.load(&key) {
@@ -696,7 +702,24 @@ impl SweepRunner {
     /// state every `every` quanta and resume from the latest valid
     /// checkpoint on re-execution.
     pub fn run_specs_robust(&self, specs: &[ScenarioSpec]) -> SweepOutcome {
-        let results = self.map_caught(specs, |i, spec| self.run_one(i, spec));
+        match self.run_specs_with(specs, |_| ControlFlow::Continue(())) {
+            ControlFlow::Continue(outcome) => outcome,
+            ControlFlow::Break(_) => unreachable!("the progress callback never breaks"),
+        }
+    }
+
+    /// [`SweepRunner::run_specs_robust`] with a progress callback:
+    /// `progress(done)` runs on the calling thread after each finished
+    /// cell. A [`ControlFlow::Break`] stops the pool from claiming
+    /// further cells; the cells in flight finish (into the store, if
+    /// one is attached) and the result is `Break(done)`, the number of
+    /// cells that finished.
+    pub(crate) fn run_specs_with(
+        &self,
+        specs: &[ScenarioSpec],
+        progress: impl FnMut(usize) -> ControlFlow<()>,
+    ) -> ControlFlow<usize, SweepOutcome> {
+        let results = self.map_caught(specs, |i, spec| self.run_one(i, spec), progress)?;
         let mut runs = Vec::with_capacity(specs.len());
         let mut failures = Vec::new();
         for (i, r) in results.into_iter().enumerate() {
@@ -716,7 +739,7 @@ impl SweepRunner {
                 }
             }
         }
-        SweepOutcome { runs, failures }
+        ControlFlow::Continue(SweepOutcome { runs, failures })
     }
 }
 
@@ -767,14 +790,61 @@ mod tests {
         assert!(!custom.a.is_empty());
     }
 
+    /// Runs `f` over `items` on `runner` with a progress callback that
+    /// never breaks.
+    fn map_all<T: Sync, R: Send>(
+        runner: &SweepRunner,
+        items: &[T],
+        f: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<Caught<R>> {
+        match runner.map_caught(items, f, |_| ControlFlow::Continue(())) {
+            ControlFlow::Continue(results) => results,
+            ControlFlow::Break(_) => unreachable!("the callback never breaks"),
+        }
+    }
+
     #[test]
     fn map_is_order_preserving_for_any_thread_count() {
         let items: Vec<u64> = (0..37).collect();
         let square = |_: usize, x: &u64| x * x;
-        let serial = SweepRunner::serial().map(&items, square);
+        let values = |runner: &SweepRunner| -> Vec<u64> {
+            map_all(runner, &items, square)
+                .into_iter()
+                .map(|r| r.expect("no item panics"))
+                .collect()
+        };
+        let serial = values(&SweepRunner::serial());
+        assert_eq!(serial, items.iter().map(|x| x * x).collect::<Vec<_>>());
         for threads in [2, 4, 16, 64] {
-            let parallel = SweepRunner::with_threads(threads).map(&items, square);
-            assert_eq!(parallel, serial, "threads={threads}");
+            assert_eq!(
+                values(&SweepRunner::with_threads(threads)),
+                serial,
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn breaking_progress_stops_the_pool() {
+        let items: Vec<u64> = (0..40).collect();
+        for threads in [1, 4] {
+            let mut calls = 0;
+            let flow = SweepRunner::with_threads(threads).map_caught(
+                &items,
+                |_, &x| x,
+                |_| {
+                    calls += 1;
+                    ControlFlow::Break(())
+                },
+            );
+            let ControlFlow::Break(done) = flow else {
+                panic!("threads={threads}: a break must surface");
+            };
+            assert_eq!(calls, 1, "no progress after the break");
+            assert!((1..=items.len()).contains(&done), "threads={threads}");
+            if threads == 1 {
+                assert_eq!(done, 1, "the serial pool stops at once");
+            }
         }
     }
 
@@ -840,7 +910,7 @@ mod tests {
         let items: Vec<u64> = (0..9).collect();
         for threads in [1, 4] {
             let runner = SweepRunner::with_threads(threads);
-            let results = runner.map_caught(&items, |i, &x| {
+            let results = map_all(&runner, &items, |i, &x| {
                 assert!(i != 5, "cell five detonates");
                 x * 10
             });
@@ -852,21 +922,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn map_propagates_the_first_panic_by_index() {
-        let items: Vec<u64> = (0..8).collect();
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            SweepRunner::with_threads(4).map(&items, |i, &x| {
-                if i >= 6 {
-                    panic!("boom at {i}");
-                }
-                x
-            });
-        }))
-        .expect_err("map re-panics");
-        assert_eq!(panic_reason(caught.as_ref()), "boom at 6");
     }
 
     #[test]
@@ -906,6 +961,21 @@ mod tests {
             .with_quantum_budget(u64::MAX)
             .run_specs_robust(&specs);
         assert!(outcome.is_clean());
+    }
+
+    #[test]
+    fn run_specs_honours_the_watchdog() {
+        // The plain path is the supervised one: the budget applies.
+        let specs = vec![xmem_spec(1, "plain-watchdog")];
+        let failure = SweepRunner::serial()
+            .with_quantum_budget(1)
+            .run_specs(&specs)
+            .expect_err("the budget aborts the cell");
+        assert_eq!(failure.index, 0);
+        assert!(
+            matches!(failure.kind, FailureKind::Watchdog { budget: 1, .. }),
+            "{failure}"
+        );
     }
 
     #[test]

@@ -19,8 +19,8 @@
 use crate::cache::{spec_key, ResultCache};
 use crate::fault::{Backoff, FabricHealth};
 use crate::queue::{JobQueue, QueueError};
-use crate::runner::{derive_seed, CellFailure, SweepRunner};
-use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, SpecError};
+use crate::runner::{cell_spec, CellFailure, SweepRunner};
+use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec};
 use crate::table::{Table, TableStats};
 use crate::{fig11, fig12, fig13, fig14, fig15, fig3, fig4, fig5, fig6, fig7, fig8, fig_numa};
 use serde::{Deserialize, Serialize};
@@ -208,7 +208,8 @@ pub enum SeedPolicy {
     /// Every cell runs with its spec's own seed — the paper protocol
     /// and the historical CLI default.
     SpecSeed,
-    /// Cell `i` runs with [`derive_seed`]`(spec_seed, i)`, matching
+    /// Cell `i` runs with
+    /// [`derive_seed`](crate::runner::derive_seed)`(spec_seed, i)`, matching
     /// [`SweepRunner::derive_seeds`].
     PerCell,
 }
@@ -318,8 +319,6 @@ pub enum ServiceError {
     UnknownFigure(String),
     /// The operation needs a shared store but the runner has no cache.
     NoStore,
-    /// A cell failed to build or validate.
-    Spec(SpecError),
     /// Rendering from the store found unexecuted cells (a partial
     /// sweep): `missing` lists their spec names (truncated).
     MissingCells {
@@ -341,15 +340,16 @@ pub enum ServiceError {
         /// Units the shard owns.
         total: usize,
     },
-    /// Some cells of a shard failed (panic, build error, watchdog
-    /// abort) while the rest completed into the store — the shard is
-    /// partial, not lost.
+    /// Some cells of a job or shard failed (panic, build error,
+    /// watchdog abort) while the rest completed (into the store, if the
+    /// runner has one) — the sweep is partial, not lost.
     CellsFailed {
-        /// The figure whose shard degraded.
+        /// The figure whose sweep degraded.
         figure: String,
-        /// The recorded failures, by shard-local unit index.
+        /// The recorded failures, by unit index within the executed
+        /// units (the whole job, or the shard's own units).
         failures: Vec<CellFailure>,
-        /// Units the shard owns.
+        /// Units executed.
         total: usize,
     },
 }
@@ -361,7 +361,6 @@ impl fmt::Display for ServiceError {
             ServiceError::NoStore => {
                 write!(f, "sharded execution needs a shared store (a cache dir)")
             }
-            ServiceError::Spec(e) => write!(f, "{e}"),
             ServiceError::MissingCells {
                 figure,
                 total,
@@ -414,12 +413,6 @@ impl std::error::Error for ServiceError {
     }
 }
 
-impl From<SpecError> for ServiceError {
-    fn from(e: SpecError) -> Self {
-        ServiceError::Spec(e)
-    }
-}
-
 impl From<QueueError> for ServiceError {
     fn from(e: QueueError) -> Self {
         ServiceError::Queue(e)
@@ -466,15 +459,8 @@ impl SweepJob {
     /// the [`SeedPolicy`] applies. Cell indices are figure-global (the
     /// concatenated [`FigureDef::specs`] order).
     fn bake(&self, spec: &ScenarioSpec, r: u64, i: u64) -> ScenarioSpec {
-        if self.replicas > 1 {
-            spec.clone()
-                .with_seed(derive_seed(derive_seed(spec.opts.seed, r), i))
-        } else {
-            match self.seed_policy {
-                SeedPolicy::SpecSeed => spec.clone(),
-                SeedPolicy::PerCell => spec.clone().with_seed(derive_seed(spec.opts.seed, i)),
-            }
-        }
+        let replica = (self.replicas > 1).then_some(r);
+        cell_spec(spec, replica, self.seed_policy == SeedPolicy::PerCell, i)
     }
 
     /// Every work unit of the job, replica-major, with effective specs.
@@ -521,31 +507,32 @@ impl SweepJob {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::NoStore`] without a cache dir; build failures as
-    /// [`ServiceError::Spec`].
+    /// [`ServiceError::NoStore`] without a cache dir;
+    /// [`ServiceError::CellsFailed`] when any cell degrades.
     pub fn execute_shard(&self, shard: Shard, runner: &SweepRunner) -> Result<usize, ServiceError> {
         self.execute_shard_with(shard, runner, |_, _| ControlFlow::Continue(()))
     }
 
-    /// [`SweepJob::execute_shard`] with a progress callback invoked
-    /// after every batch of `runner.threads()` units as
+    /// [`SweepJob::execute_shard`] with a progress callback invoked on
+    /// the calling thread after every finished unit as
     /// `progress(done, total)` — queue workers heartbeat their lease
-    /// from it. Returning [`ControlFlow::Break`] aborts the shard
-    /// between batches (already-executed units stay in the store, so a
-    /// re-claim resumes where this attempt stopped).
+    /// from it. Returning [`ControlFlow::Break`] stops the runner's
+    /// pool from claiming further units; the units in flight finish
+    /// into the store, so a re-claim resumes where this attempt
+    /// stopped.
     ///
-    /// Cells are executed through the runner's supervised path: a
-    /// panicking, build-failing, or watchdog-aborted cell is recorded
-    /// as a [`CellFailure`] while every other cell in the shard still
-    /// completes into the store. The failures surface at the end as
-    /// [`ServiceError::CellsFailed`] (with shard-local unit indices),
-    /// so a re-claim only re-simulates the cells that actually failed.
+    /// Cells are executed through the runner's supervised path in one
+    /// pooled pass: a panicking, build-failing, or watchdog-aborted
+    /// cell is recorded as a [`CellFailure`] while every other cell in
+    /// the shard still completes into the store. The failures surface
+    /// at the end as [`ServiceError::CellsFailed`] (with shard-local
+    /// unit indices), so a re-claim only re-simulates the cells that
+    /// actually failed.
     ///
     /// # Errors
     ///
     /// As [`SweepJob::execute_shard`], plus [`ServiceError::Aborted`]
-    /// when the callback breaks and [`ServiceError::CellsFailed`] when
-    /// any cell degrades.
+    /// when the callback breaks.
     pub fn execute_shard_with(
         &self,
         shard: Shard,
@@ -558,29 +545,14 @@ impl SweepJob {
         let units = self.shard_units(shard)?;
         let specs: Vec<ScenarioSpec> = units.into_iter().map(|u| u.spec).collect();
         let total = specs.len();
-        let mut done = 0;
-        let mut failures: Vec<CellFailure> = Vec::new();
-        for batch in specs.chunks(runner.threads().max(1)) {
-            let outcome = runner.run_specs_robust(batch);
-            // Failure indices are batch-relative; rebase onto the
-            // shard-local unit index before accumulating.
-            failures.extend(outcome.failures.into_iter().map(|mut f| {
-                f.index += done;
-                f
-            }));
-            done += batch.len();
-            if progress(done, total).is_break() {
-                return Err(ServiceError::Aborted { done, total });
-            }
-        }
-        if failures.is_empty() {
-            Ok(total)
-        } else {
-            Err(ServiceError::CellsFailed {
+        match runner.run_specs_with(&specs, |done| progress(done, total)) {
+            ControlFlow::Break(done) => Err(ServiceError::Aborted { done, total }),
+            ControlFlow::Continue(outcome) if outcome.is_clean() => Ok(total),
+            ControlFlow::Continue(outcome) => Err(ServiceError::CellsFailed {
                 figure: self.figure.clone(),
-                failures,
+                failures: outcome.failures,
                 total,
-            })
+            }),
         }
     }
 
@@ -734,23 +706,31 @@ impl SweepJob {
 
     /// Executes the whole job on `runner` (store-backed cells load
     /// instead of simulating) and renders its tables — the direct,
-    /// single-process path. The runner must be plain (see
-    /// [`SweepJob::execute_shard`]).
+    /// single-process path. The units of every replica go through the
+    /// runner's supervised path in one pooled pass. The runner must be
+    /// plain (see [`SweepJob::execute_shard`]).
     ///
     /// # Errors
     ///
-    /// Build failures as [`ServiceError::Spec`].
+    /// [`ServiceError::CellsFailed`] when any cell fails, with
+    /// job-global unit indices.
     pub fn execute(&self, runner: &SweepRunner) -> Result<JobTables, ServiceError> {
-        let units = self.units()?;
-        let cells = units.len() / self.replicas as usize;
-        let mut per_replica = Vec::with_capacity(self.replicas as usize);
-        for r in 0..self.replicas as usize {
-            let specs: Vec<ScenarioSpec> = units[r * cells..(r + 1) * cells]
-                .iter()
-                .map(|u| u.spec.clone())
-                .collect();
-            per_replica.push(runner.run_specs(&specs)?);
-        }
+        let specs: Vec<ScenarioSpec> = self.units()?.into_iter().map(|u| u.spec).collect();
+        let total = specs.len();
+        let runs = runner
+            .run_specs_robust(&specs)
+            .into_runs()
+            .map_err(|failures| ServiceError::CellsFailed {
+                figure: self.figure.clone(),
+                failures,
+                total,
+            })?;
+        // Units are replica-major: regroup the flat runs per replica.
+        let mut runs = runs.into_iter();
+        let cells = total / self.replicas as usize;
+        let per_replica: Vec<Vec<ScenarioRun>> = (0..self.replicas)
+            .map(|_| runs.by_ref().take(cells).collect())
+            .collect();
         self.render(&per_replica)
     }
 }
@@ -969,6 +949,8 @@ pub fn fabric_health(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::derive_seed;
+    use crate::supervise::CkptStore;
 
     fn quick() -> RunOpts {
         RunOpts {
@@ -1129,6 +1111,104 @@ mod tests {
             other => panic!("expected MissingCells, got {other:?}"),
         }
         assert_eq!(store.simulated(), 0, "rendering never simulates");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("a4-service-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    /// Every rendered table as JSON, for byte-for-byte comparison.
+    fn rendered(tables: &JobTables) -> Vec<String> {
+        let tables: Vec<&Table> = match tables {
+            JobTables::Single(ts) => ts.iter().collect(),
+            JobTables::Replicated(stats) => {
+                stats.iter().flat_map(|s| [&s.mean, &s.stddev]).collect()
+            }
+        };
+        tables
+            .iter()
+            .map(|t| serde_json::to_string(t).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn direct_execution_checkpoints_and_cleans_up() {
+        // The direct path runs cells under the runner's checkpoint
+        // store, the one `--ckpt-every` attaches.
+        let dir = tmp_dir("direct-ckpt");
+        let ckpt_dir = dir.join("ckpt");
+        let store = CkptStore::new(&ckpt_dir);
+        let runner = SweepRunner::serial()
+            .with_cache_dir(&dir)
+            .with_ckpt(store.clone(), 1);
+        let job = SweepJob::new("fig4", quick(), 1, SeedPolicy::SpecSeed).unwrap();
+        let tables = job.execute(&runner).unwrap();
+        assert!(store.saved() > 0, "cells checkpointed while running");
+        let left = std::fs::read_dir(&ckpt_dir).map_or(0, |d| d.count());
+        assert_eq!(left, 0, "finished cells leave no checkpoint behind");
+        assert_eq!(
+            rendered(&tables),
+            rendered(&job.execute(&SweepRunner::serial()).unwrap()),
+            "checkpointing is transparent"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shard_pass_reports_every_cell_and_aborts_cleanly() {
+        let job = SweepJob::new("fig4", quick(), 1, SeedPolicy::SpecSeed).unwrap();
+        let reference = rendered(&job.execute(&SweepRunner::serial()).unwrap());
+
+        // One pooled pass: progress fires once per finished cell, on
+        // the calling thread, counting up to the shard's size.
+        let dir = tmp_dir("shard-progress");
+        let runner = SweepRunner::with_threads(2).with_cache_dir(&dir);
+        let mut calls = Vec::new();
+        let total = job
+            .execute_shard_with(Shard::full(), &runner, |done, total| {
+                calls.push((done, total));
+                ControlFlow::Continue(())
+            })
+            .unwrap();
+        assert_eq!(calls, (1..=total).map(|d| (d, total)).collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).ok();
+
+        // Breaking on the first call stops the pool claiming cells;
+        // the cells in flight still land in the store.
+        let dir = tmp_dir("shard-abort");
+        let runner = SweepRunner::with_threads(2).with_cache_dir(&dir);
+        let aborted = job.execute_shard_with(Shard::full(), &runner, |_, _| ControlFlow::Break(()));
+        let Err(ServiceError::Aborted { done, total }) = aborted else {
+            panic!("expected Aborted, got {aborted:?}");
+        };
+        assert!(0 < done && done < total, "{done} of {total}");
+        assert_eq!(runner.cache().unwrap().simulated(), done as u64);
+
+        // The re-run simulates exactly the cells the aborted pass left.
+        let rerun = SweepRunner::with_threads(2).with_cache_dir(&dir);
+        assert_eq!(job.execute_shard(Shard::full(), &rerun).unwrap(), total);
+        let store = rerun.cache().unwrap();
+        assert_eq!(store.simulated(), (total - done) as u64);
+        assert_eq!(rendered(&job.render_from_store(store).unwrap()), reference);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replicated_jobs_pool_every_replica() {
+        let job = SweepJob::new("fig4", quick(), 2, SeedPolicy::SpecSeed).unwrap();
+        let serial = rendered(&job.execute(&SweepRunner::serial()).unwrap());
+        assert_eq!(serial.len(), 2, "mean and stddev tables");
+        let wide = rendered(&job.execute(&SweepRunner::with_threads(3)).unwrap());
+        assert_eq!(wide, serial, "thread count never changes the tables");
+
+        let dir = tmp_dir("replica-pool");
+        let runner = SweepRunner::with_threads(3).with_cache_dir(&dir);
+        job.execute_shard(Shard::full(), &runner).unwrap();
+        let merged = rendered(&job.render_from_store(runner.cache().unwrap()).unwrap());
+        assert_eq!(merged, serial, "sharded execution merges identically");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

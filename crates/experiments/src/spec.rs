@@ -14,6 +14,7 @@
 //! (`a4-repro --spec file.json`) — new colocation mixes are data, not
 //! code.
 
+use crate::supervise::CellSupervisor;
 use a4_core::{
     A4Config, A4Controller, DefaultPolicy, FeatureLevel, Harness, IsolatePolicy, LlcPolicy,
     RunAborted, RunReport, RunSupervisor, Thresholds,
@@ -1245,15 +1246,13 @@ impl Scenario {
             .id
     }
 
-    /// Runs the spec's warm-up + measurement protocol.
-    pub fn run(mut self) -> ScenarioRun {
-        let report = self.harness.run(self.opts.warmup, self.opts.measure);
-        ScenarioRun {
-            name: self.name,
-            report,
-            workloads: self.workloads,
-            devices: self.devices,
-            missing: false,
+    /// Runs the spec's warm-up + measurement protocol: the supervised
+    /// run under a supervisor that neither checkpoints nor aborts.
+    pub fn run(self) -> ScenarioRun {
+        let mut unsupervised = CellSupervisor::new(None, "", 0, None, 0);
+        match self.run_supervised(0, Vec::new(), &mut unsupervised) {
+            Ok(run) => run,
+            Err(_) => unreachable!("a supervisor without a budget never aborts"),
         }
     }
 

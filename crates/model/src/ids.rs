@@ -119,12 +119,6 @@ impl WorkloadId {
     /// silently polluting workload 0's counters (which is a real,
     /// monitorable workload in every experiment).
     pub const UNATTRIBUTED: WorkloadId = WorkloadId(u16::MAX);
-
-    /// True if this id is the [`WorkloadId::UNATTRIBUTED`] sentinel.
-    #[inline]
-    pub fn is_unattributed(self) -> bool {
-        self == WorkloadId::UNATTRIBUTED
-    }
 }
 
 #[cfg(test)]

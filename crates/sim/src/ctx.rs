@@ -88,12 +88,6 @@ impl<'a> CoreCtx<'a> {
         (self.budget - self.used).max(0.0)
     }
 
-    /// Quantum start time.
-    #[inline]
-    pub fn quantum_start(&self) -> SimTime {
-        self.now
-    }
-
     /// Current time within the quantum (start + consumed cycles).
     pub fn now(&self) -> SimTime {
         self.now + SimTime::from_nanos((self.used * self.ns_per_cycle) as u64)

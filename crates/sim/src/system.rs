@@ -201,12 +201,6 @@ impl System {
         &self.socks[0]
     }
 
-    /// Mutable socket-0 hierarchy access (tests and ablations).
-    #[inline]
-    pub fn hierarchy_mut(&mut self) -> &mut CacheHierarchy {
-        &mut self.socks[0]
-    }
-
     /// One socket's cache hierarchy (read-only).
     ///
     /// # Panics
@@ -476,11 +470,6 @@ impl System {
         Ok(())
     }
 
-    /// Ids, names and static facts of all registered workloads.
-    pub fn workload_ids(&self) -> Vec<WorkloadId> {
-        self.slots.iter().map(|s| s.id).collect()
-    }
-
     /// The cores a workload is pinned to.
     ///
     /// # Panics
@@ -582,18 +571,6 @@ impl System {
                 .map_or(WorkloadId::UNATTRIBUTED, |s| s.id);
         }
         self.device_owners_stale = false;
-    }
-
-    /// The workload currently owning (driving) `dev`, or
-    /// [`WorkloadId::UNATTRIBUTED`] if no active workload claims it.
-    pub fn device_owner(&mut self, dev: DeviceId) -> WorkloadId {
-        if self.device_owners_stale {
-            self.refresh_device_owners();
-        }
-        self.device_owners
-            .get(dev.index())
-            .copied()
-            .unwrap_or(WorkloadId::UNATTRIBUTED)
     }
 
     /// Runs one quantum: devices DMA, workloads execute, memory interval
