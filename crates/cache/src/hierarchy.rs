@@ -9,11 +9,11 @@
 use crate::clos::ClosTable;
 use crate::config::HierarchyConfig;
 use crate::llc::{
-    DmaReadResult, DmaWriteResult, EvictedLlcLine, Llc, LlcReadResult, LlcState,
-    MlcEvictionOutcome, RemoteReadResult,
+    DmaReadResult, DmaWriteResult, EvictedLlcLine, Llc, LlcReadResult, MlcEvictionOutcome,
+    RemoteReadResult,
 };
 use crate::meta::LineMeta;
-use crate::mlc::{EvictedMlcLine, Mlc, MlcState};
+use crate::mlc::{EvictedMlcLine, Mlc};
 use crate::stats::HierarchyStats;
 use crate::walk::SetTagWalk;
 use a4_model::{CoreId, DeviceId, LineAddr, WayMask, WorkloadId};
@@ -66,7 +66,7 @@ pub enum DmaReadSource {
 /// assert_eq!(hier.core_read(CoreId(0), LineAddr(9), wl), CoreAccessLevel::Memory);
 /// assert_eq!(hier.core_read(CoreId(0), LineAddr(9), wl), CoreAccessLevel::MlcHit);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheHierarchy {
     config: HierarchyConfig,
     mlcs: Vec<Mlc>,
@@ -74,8 +74,11 @@ pub struct CacheHierarchy {
     clos: ClosTable,
     stats: HierarchyStats,
     // Reusable event buffers for the batched DMA paths (allocation-free
-    // after warm-up; taken/restored around each run).
+    // after warm-up; taken/restored around each run, so always empty
+    // between runs and never checkpointed).
+    #[serde(skip)]
     dma_write_events: Vec<(LineAddr, DmaWriteResult)>,
+    #[serde(skip)]
     dma_read_events: Vec<(LineAddr, DmaReadResult)>,
 }
 
@@ -587,67 +590,6 @@ impl CacheHierarchy {
             }
         }
     }
-
-    /// Snapshots the complete mutable hierarchy state for a checkpoint.
-    ///
-    /// The reusable DMA event buffers (`dma_write_events`,
-    /// `dma_read_events`) are run-local scratch — always empty between
-    /// runs — so they are not captured; `config` is structural.
-    pub fn save_state(&self) -> CacheHierarchyState {
-        let _scratch_or_structural = (&self.config, &self.dma_write_events, &self.dma_read_events);
-        CacheHierarchyState {
-            mlcs: self.mlcs.iter().map(Mlc::save_state).collect(),
-            llc: self.llc.save_state(),
-            clos: self.clos.clone(),
-            stats: self.stats.clone(),
-        }
-    }
-
-    /// Restores a [`CacheHierarchy::save_state`] snapshot.
-    ///
-    /// Returns `false` (leaving the hierarchy in its pre-call state) if
-    /// the snapshot's shape does not match this hierarchy's geometry. The
-    /// shape of every nested component is validated before any component
-    /// is mutated.
-    pub fn restore_state(&mut self, st: &CacheHierarchyState) -> bool {
-        let _scratch_or_structural = (&self.config, &self.dma_write_events, &self.dma_read_events);
-        if st.mlcs.len() != self.mlcs.len() {
-            return false;
-        }
-        // Dry-run the nested restores against clones so a mid-restore
-        // shape mismatch cannot leave this hierarchy half-updated.
-        let mut mlcs = self.mlcs.clone();
-        let mut llc = self.llc.clone();
-        if mlcs
-            .iter_mut()
-            .zip(&st.mlcs)
-            .any(|(mlc, s)| !mlc.restore_state(s))
-            || !llc.restore_state(&st.llc)
-        {
-            return false;
-        }
-        self.mlcs = mlcs;
-        self.llc = llc;
-        self.clos = st.clos.clone();
-        self.stats = st.stats.clone();
-        self.dma_write_events.clear();
-        self.dma_read_events.clear();
-        true
-    }
-}
-
-/// Serializable snapshot of one socket's complete mutable
-/// [`CacheHierarchy`] state (see [`CacheHierarchy::save_state`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CacheHierarchyState {
-    /// Per-core MLC snapshots.
-    pub mlcs: Vec<MlcState>,
-    /// Shared LLC snapshot (sets, ext directory, DCA mask, RNG).
-    pub llc: LlcState,
-    /// CAT table (CLOS masks and core assignments).
-    pub clos: ClosTable,
-    /// Accumulated PCM-style counters.
-    pub stats: HierarchyStats,
 }
 
 /// Run-local accumulator for the fixed-row stat bumps of a DCA write run.

@@ -61,15 +61,10 @@ mod walk;
 pub use clos::ClosTable;
 pub use config::{HierarchyConfig, LlcGeometry, MlcGeometry, MAX_DEVICES, MAX_WORKLOADS};
 pub use hierarchy::{
-    CacheHierarchy, CacheHierarchyState, CoreAccessLevel, CoreRun, DmaReadSource, DmaWriteDest,
-    RemoteRun,
+    CacheHierarchy, CoreAccessLevel, CoreRun, DmaReadSource, DmaWriteDest, RemoteRun,
 };
-pub use llc::{
-    EvictedLlcLine, Llc, LlcReadResult, LlcState, SetBlockState, EXT_DIR_EXCLUSIVE_WAYS,
-};
+pub use llc::{EvictedLlcLine, Llc, LlcReadResult, EXT_DIR_EXCLUSIVE_WAYS};
 pub use meta::LineMeta;
-pub use mlc::{EvictedMlcLine, Mlc, MlcSetBlockState, MlcState};
-pub use route::{
-    DmaRouter, RemoteCache, RemoteCacheState, UpiFabric, UpiLink, UpiLinkState, UpiTopology,
-};
+pub use mlc::{EvictedMlcLine, Mlc};
+pub use route::{DmaRouter, RemoteCache, UpiFabric, UpiLink, UpiTopology};
 pub use stats::{DeviceCounters, HierarchyStats, WorkloadCounters};

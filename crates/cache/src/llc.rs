@@ -185,11 +185,31 @@ struct LineState {
 
 /// One data way's full record (tag verified against digests, plus the
 /// non-flag state), read/written as a unit on hits and installs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct WayLine {
     tag: u64,
     presence: u32,
     meta: LineMeta,
+}
+
+// Way and extended-directory records keep the compact tuple encodings
+// `(tag, presence, meta)` and `(tag, presence)`: a checkpoint holds one
+// per way of every LLC set.
+impl Serialize for WayLine {
+    fn to_value(&self) -> serde::Value {
+        (self.tag, self.presence, self.meta).to_value()
+    }
+}
+
+impl Deserialize for WayLine {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let (tag, presence, meta) = Deserialize::from_value(v)?;
+        Ok(WayLine {
+            tag,
+            presence,
+            meta,
+        })
+    }
 }
 
 const INVALID_WAY: WayLine = WayLine {
@@ -204,10 +224,23 @@ const INVALID_WAY: WayLine = WayLine {
 };
 
 /// One extended-directory entry's full record.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct ExtLine {
     tag: u64,
     presence: u32,
+}
+
+impl Serialize for ExtLine {
+    fn to_value(&self) -> serde::Value {
+        (self.tag, self.presence).to_value()
+    }
+}
+
+impl Deserialize for ExtLine {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let (tag, presence) = Deserialize::from_value(v)?;
+        Ok(ExtLine { tag, presence })
+    }
 }
 
 /// One set's complete storage, 64-byte aligned: the scan header (flag
@@ -222,7 +255,7 @@ struct ExtLine {
 /// full-width vector op; the dead lanes are never written and the
 /// candidate mask is ANDed with the valid bits, which only ever cover
 /// the real ways.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[repr(C, align(64))]
 struct SetBlock {
     /// Valid/dirty/in-mlc way bitmaps in the three 16-bit lanes (one
@@ -269,7 +302,7 @@ struct SetBlock {
 /// assert!(WayMask::INCLUSIVE.contains_way(probe.way));
 /// # Ok::<(), a4_model::A4Error>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Llc {
     geometry: LlcGeometry,
     // Precomputed address split (sets is a power of two).
@@ -1055,120 +1088,6 @@ impl Llc {
         }
         checked
     }
-
-    /// Snapshots the complete mutable LLC state for a checkpoint.
-    ///
-    /// Geometry-derived fields (`geometry`, `set_mask`, `tag_shift`) and
-    /// the fixed `inclusive_mask` are rebuilt by [`Llc::new`] and are not
-    /// serialized — a checkpoint only ever restores into an identically
-    /// configured cache, which [`Llc::restore_state`] verifies by shape.
-    pub fn save_state(&self) -> LlcState {
-        let _rebuilt_by_constructor = (
-            &self.geometry,
-            &self.set_mask,
-            &self.tag_shift,
-            &self.inclusive_mask,
-        );
-        LlcState {
-            sets: self
-                .sets
-                .iter()
-                .map(|blk| SetBlockState {
-                    flags: blk.flags,
-                    ext_valid: blk.ext_valid,
-                    tag16: blk.tag16.to_vec(),
-                    ext_tag16: blk.ext_tag16.to_vec(),
-                    ext_order: blk.ext_order.raw(),
-                    ways: blk
-                        .ways
-                        .iter()
-                        .map(|w| (w.tag, w.presence, w.meta))
-                        .collect(),
-                    ext: blk.ext.iter().map(|e| (e.tag, e.presence)).collect(),
-                })
-                .collect(),
-            digests_exact: self.digests_exact,
-            dca_mask: self.dca_mask,
-            rand_state: self.rand_state,
-        }
-    }
-
-    /// Restores a [`Llc::save_state`] snapshot taken from an identically
-    /// configured LLC. Returns `false` (without touching any state) if the
-    /// snapshot's shape does not match this cache's geometry — the caller
-    /// must treat the checkpoint as corrupt and discard it.
-    pub fn restore_state(&mut self, st: &LlcState) -> bool {
-        let _rebuilt_by_constructor = (
-            &self.geometry,
-            &self.set_mask,
-            &self.tag_shift,
-            &self.inclusive_mask,
-        );
-        if st.sets.len() != self.sets.len()
-            || st.sets.iter().any(|s| {
-                s.tag16.len() != 16
-                    || s.ext_tag16.len() != EXT_DIR_EXCLUSIVE_WAYS
-                    || s.ways.len() != LLC_WAYS
-                    || s.ext.len() != EXT_DIR_EXCLUSIVE_WAYS
-            })
-        {
-            return false;
-        }
-        for (blk, s) in self.sets.iter_mut().zip(&st.sets) {
-            blk.flags = s.flags;
-            blk.ext_valid = s.ext_valid;
-            blk.tag16.copy_from_slice(&s.tag16);
-            blk.ext_tag16.copy_from_slice(&s.ext_tag16);
-            blk.ext_order = Recency::from_raw(s.ext_order);
-            for (dst, &(tag, presence, meta)) in blk.ways.iter_mut().zip(&s.ways) {
-                *dst = WayLine {
-                    tag,
-                    presence,
-                    meta,
-                };
-            }
-            for (dst, &(tag, presence)) in blk.ext.iter_mut().zip(&s.ext) {
-                *dst = ExtLine { tag, presence };
-            }
-        }
-        self.digests_exact = st.digests_exact;
-        self.dca_mask = st.dca_mask;
-        self.rand_state = st.rand_state;
-        true
-    }
-}
-
-/// One set's checkpointed storage — the serialized mirror of the internal
-/// `SetBlock` (fixed arrays flattened to vectors for the codec).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SetBlockState {
-    /// Valid/dirty/in-MLC flag lanes.
-    pub flags: u64,
-    /// Extended-directory valid bitmap.
-    pub ext_valid: u16,
-    /// Data-way tag digests (all 16 lanes).
-    pub tag16: Vec<u16>,
-    /// Extended-directory tag digests.
-    pub ext_tag16: Vec<u16>,
-    /// Packed extended-directory LRU permutation.
-    pub ext_order: u64,
-    /// Data-way records as `(tag, presence, meta)`.
-    pub ways: Vec<(u64, u32, LineMeta)>,
-    /// Extended-directory records as `(tag, presence)`.
-    pub ext: Vec<(u64, u32)>,
-}
-
-/// The LLC's complete mutable state — see [`Llc::save_state`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LlcState {
-    /// Per-set storage.
-    pub sets: Vec<SetBlockState>,
-    /// Whether every resident tag still fits the 16-bit digests.
-    pub digests_exact: bool,
-    /// Current DDIO way mask.
-    pub dca_mask: WayMask,
-    /// Victim-pick RNG state.
-    pub rand_state: u64,
 }
 
 #[cfg(test)]

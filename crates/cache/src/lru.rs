@@ -16,9 +16,12 @@
 //! free-way path (lowest free index), never through the victim path, so
 //! their stale positions in the permutation are harmless.
 
+use serde::{Deserialize, Serialize};
+
 /// Recency order of up to 16 ways, packed 4 bits per position; nibble 0
 /// holds the most recently used way, nibble `ways-1` the LRU victim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Serializes as the packed `u64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) struct Recency(u64);
 
 const NIBBLE_LO: u64 = 0x1111_1111_1111_1111;
@@ -57,16 +60,6 @@ impl Recency {
     #[inline]
     pub(crate) fn victim(self, ways: usize) -> usize {
         ((self.0 >> (4 * (ways as u32 - 1))) & 0xF) as usize
-    }
-
-    /// The packed permutation word, for checkpointing.
-    pub(crate) fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds the order from a [`Recency::raw`] snapshot.
-    pub(crate) fn from_raw(v: u64) -> Self {
-        Recency(v)
     }
 }
 

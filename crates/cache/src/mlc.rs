@@ -31,10 +31,25 @@ const INVALID_META: LineMeta = LineMeta {
 };
 
 /// One way's full record (tag verified against digests + metadata).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct MlcWayLine {
     tag: u64,
     meta: LineMeta,
+}
+
+// Way records keep the compact `(tag, meta)` tuple encoding: a
+// checkpoint holds one per way of every MLC set.
+impl Serialize for MlcWayLine {
+    fn to_value(&self) -> serde::Value {
+        (self.tag, self.meta).to_value()
+    }
+}
+
+impl Deserialize for MlcWayLine {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let (tag, meta) = Deserialize::from_value(v)?;
+        Ok(MlcWayLine { tag, meta })
+    }
 }
 
 const INVALID_WAY: MlcWayLine = MlcWayLine {
@@ -47,7 +62,7 @@ const INVALID_WAY: MlcWayLine = MlcWayLine {
 /// cache line and the way records follow in the same block — `lookup`
 /// runs on *every* simulated core access, and a lookup-plus-fill chain
 /// now stays within a handful of adjacent cache lines on one page.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[repr(C, align(64))]
 struct MlcSetBlock {
     /// Valid bitmap in the low lane, dirty bitmap in the high lane (one
@@ -77,7 +92,7 @@ struct MlcSetBlock {
 /// assert!(!mlc.lookup(LineAddr(2), false));
 /// # Ok::<(), a4_model::A4Error>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mlc {
     geometry: MlcGeometry,
     // Precomputed address split (sets is a power of two).
@@ -360,76 +375,6 @@ impl Mlc {
             .for_each(|blk| blk.flags &= !0xFFFF_FFFF);
         self.live = 0;
     }
-
-    /// Snapshots the complete mutable MLC state for a checkpoint.
-    pub fn save_state(&self) -> MlcState {
-        let _rebuilt_by_constructor = (&self.geometry, &self.set_mask, &self.tag_shift);
-        MlcState {
-            sets: self
-                .sets
-                .iter()
-                .map(|blk| MlcSetBlockState {
-                    flags: blk.flags,
-                    order: blk.order.raw(),
-                    tag16: blk.tag16.to_vec(),
-                    ways: blk.ways.iter().map(|w| (w.tag, w.meta)).collect(),
-                })
-                .collect(),
-            digests_exact: self.digests_exact,
-            live: self.live,
-        }
-    }
-
-    /// Restores a [`Mlc::save_state`] snapshot into this cache.
-    ///
-    /// Returns `false` (without touching any state) if the snapshot's
-    /// shape does not match this cache's geometry.
-    pub fn restore_state(&mut self, st: &MlcState) -> bool {
-        let _rebuilt_by_constructor = (&self.geometry, &self.set_mask, &self.tag_shift);
-        if st.sets.len() != self.sets.len()
-            || st
-                .sets
-                .iter()
-                .any(|s| s.tag16.len() != 16 || s.ways.len() != 16)
-        {
-            return false;
-        }
-        for (blk, s) in self.sets.iter_mut().zip(&st.sets) {
-            blk.flags = s.flags;
-            blk.order = Recency::from_raw(s.order);
-            blk.tag16.copy_from_slice(&s.tag16);
-            for (dst, &(tag, meta)) in blk.ways.iter_mut().zip(&s.ways) {
-                *dst = MlcWayLine { tag, meta };
-            }
-        }
-        self.digests_exact = st.digests_exact;
-        self.live = st.live;
-        true
-    }
-}
-
-/// Serializable snapshot of one [`MlcSetBlock`] (see [`Mlc::save_state`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MlcSetBlockState {
-    /// Valid/dirty bitmap word.
-    pub flags: u64,
-    /// Packed LRU recency permutation ([`Recency::raw`]).
-    pub order: u64,
-    /// Tag digest lanes (always 16).
-    pub tag16: Vec<u16>,
-    /// Way records as `(tag, meta)` pairs (always 16).
-    pub ways: Vec<(u64, LineMeta)>,
-}
-
-/// Serializable snapshot of the complete mutable [`Mlc`] state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MlcState {
-    /// Per-set storage snapshots.
-    pub sets: Vec<MlcSetBlockState>,
-    /// True while every resident tag fits 16 bits.
-    pub digests_exact: bool,
-    /// Number of valid lines resident.
-    pub live: usize,
 }
 
 #[cfg(test)]

@@ -73,7 +73,7 @@ const UPI_FACTOR_EWMA: f64 = 0.5;
 /// upi.end_interval(1e-6);
 /// assert_eq!(upi.read_factor(), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UpiLink {
     hop_ns: u64,
     /// Per-direction capacity in GB/s; `None` = unthrottled (the
@@ -91,24 +91,6 @@ impl Default for UpiLink {
     fn default() -> Self {
         UpiLink::new(0)
     }
-}
-
-/// Serializable snapshot of one [`UpiLink`]'s mutable state (see
-/// [`UpiLink::save_state`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct UpiLinkState {
-    /// Cumulative lines pulled toward requesters.
-    pub read_lines: u64,
-    /// Cumulative lines pushed to remote homes.
-    pub write_lines: u64,
-    /// Lines pulled in the open interval.
-    pub interval_read_lines: u64,
-    /// Lines pushed in the open interval.
-    pub interval_write_lines: u64,
-    /// Current read-direction loaded-latency factor.
-    pub read_factor: f64,
-    /// Current write-direction loaded-latency factor.
-    pub write_factor: f64,
 }
 
 impl UpiLink {
@@ -243,30 +225,6 @@ impl UpiLink {
         self.interval_read_lines = 0;
         self.interval_write_lines = 0;
     }
-
-    /// Snapshots the link's mutable state for a checkpoint.
-    pub fn save_state(&self) -> UpiLinkState {
-        let _rebuilt_by_constructor = (&self.hop_ns, &self.gbps);
-        UpiLinkState {
-            read_lines: self.read_lines,
-            write_lines: self.write_lines,
-            interval_read_lines: self.interval_read_lines,
-            interval_write_lines: self.interval_write_lines,
-            read_factor: self.read_factor,
-            write_factor: self.write_factor,
-        }
-    }
-
-    /// Restores a [`UpiLink::save_state`] snapshot.
-    pub fn restore_state(&mut self, st: &UpiLinkState) {
-        let _rebuilt_by_constructor = (&self.hop_ns, &self.gbps);
-        self.read_lines = st.read_lines;
-        self.write_lines = st.write_lines;
-        self.interval_read_lines = st.interval_read_lines;
-        self.interval_write_lines = st.interval_write_lines;
-        self.read_factor = st.read_factor;
-        self.write_factor = st.write_factor;
-    }
 }
 
 /// How the sockets of a multi-socket system are wired together, pricing
@@ -317,7 +275,7 @@ impl UpiTopology {
 /// assert_eq!(fabric.hops(0, 2), 2);
 /// assert_eq!(fabric.crossed_lines(), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UpiFabric {
     sockets: usize,
     topology: UpiTopology,
@@ -454,27 +412,6 @@ impl UpiFabric {
             link.end_interval(dt_secs);
         }
     }
-
-    /// Snapshots every link's mutable state for a checkpoint, in link
-    /// order.
-    pub fn save_state(&self) -> Vec<UpiLinkState> {
-        let _rebuilt_by_constructor = (&self.sockets, &self.topology);
-        self.links.iter().map(UpiLink::save_state).collect()
-    }
-
-    /// Restores a [`UpiFabric::save_state`] snapshot. Returns `false` —
-    /// leaving the fabric untouched — if the snapshot's link count does
-    /// not match this fabric's shape.
-    pub fn restore_state(&mut self, st: &[UpiLinkState]) -> bool {
-        let _rebuilt_by_constructor = (&self.sockets, &self.topology);
-        if st.len() != self.links.len() {
-            return false;
-        }
-        for (link, s) in self.links.iter_mut().zip(st) {
-            link.restore_state(s);
-        }
-        true
-    }
 }
 
 /// A small per-socket cache of remotely-homed lines on the *requester*
@@ -496,24 +433,12 @@ impl UpiFabric {
 /// A capacity of zero disables the cache entirely (every lookup misses,
 /// inserts are dropped), which reproduces the historical
 /// always-re-cross model.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RemoteCache {
     /// Direct-mapped tags; [`RemoteCache::EMPTY`] marks an empty slot.
     slots: Vec<u64>,
     hits: u64,
     misses: u64,
-}
-
-/// Serializable snapshot of one [`RemoteCache`]'s mutable state (see
-/// [`RemoteCache::save_state`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RemoteCacheState {
-    /// Direct-mapped tag array.
-    pub slots: Vec<u64>,
-    /// Cumulative lookup hits.
-    pub hits: u64,
-    /// Cumulative lookup misses.
-    pub misses: u64,
 }
 
 impl RemoteCache {
@@ -594,27 +519,6 @@ impl RemoteCache {
         if self.slots[slot] == addr.0 {
             self.slots[slot] = Self::EMPTY;
         }
-    }
-
-    /// Snapshots the cache's mutable state for a checkpoint.
-    pub fn save_state(&self) -> RemoteCacheState {
-        RemoteCacheState {
-            slots: self.slots.clone(),
-            hits: self.hits,
-            misses: self.misses,
-        }
-    }
-
-    /// Restores a [`RemoteCache::save_state`] snapshot. Returns `false`
-    /// — leaving the cache untouched — on a capacity mismatch.
-    pub fn restore_state(&mut self, st: &RemoteCacheState) -> bool {
-        if st.slots.len() != self.slots.len() {
-            return false;
-        }
-        self.slots = st.slots.clone();
-        self.hits = st.hits;
-        self.misses = st.misses;
-        true
     }
 }
 
@@ -857,16 +761,10 @@ mod tests {
         fabric.record_write_lines(1, 2, 64);
         fabric.end_interval(1e-6);
         fabric.record_read_lines(0, 1, 3); // open-interval state
-        let st = fabric.save_state();
-
-        let mut restored = UpiFabric::new(3, 80, Some(2.0), UpiTopology::Ring);
-        assert!(restored.restore_state(&st));
+        let restored = UpiFabric::from_value(&fabric.to_value()).unwrap();
         assert_eq!(restored, fabric);
-        // Shape mismatches are rejected untouched.
-        let mut wrong = UpiFabric::new(2, 80, Some(2.0), UpiTopology::Ring);
-        let before = wrong.clone();
-        assert!(!wrong.restore_state(&st));
-        assert_eq!(wrong, before);
+        assert_eq!(restored.link(0, 1).read_lines(), 3);
+        assert!(restored.link(0, 2).read_factor() > 1.0);
     }
 
     #[test]
@@ -903,11 +801,8 @@ mod tests {
         rc.insert(LineAddr(3));
         rc.lookup(LineAddr(3));
         rc.lookup(LineAddr(4));
-        let st = rc.save_state();
-        let mut restored = RemoteCache::new(8);
-        assert!(restored.restore_state(&st));
+        let mut restored = RemoteCache::from_value(&rc.to_value()).unwrap();
         assert_eq!(restored, rc);
-        let mut wrong = RemoteCache::new(4);
-        assert!(!wrong.restore_state(&st), "capacity mismatch is rejected");
+        assert!(restored.lookup(LineAddr(3)), "cached slot survives");
     }
 }

@@ -7,15 +7,17 @@
 //! architecture, both traits go through a self-describing [`Value`] tree,
 //! which is all `serde_json`'s `to_string`/`from_str` need.
 //!
-//! Only plain `#[derive(Serialize, Deserialize)]` plus the
-//! `#[serde(default)]` field attribute are supported — the one attribute
-//! schema evolution needs (absent fields fall back to
-//! `Default::default()`); everything else matches what this workspace
-//! uses and any other `#[serde(...)]` attribute is a compile error.
+//! Only plain `#[derive(Serialize, Deserialize)]` plus two named-field
+//! attributes are supported: `#[serde(default)]`, which schema evolution
+//! needs (absent fields fall back to `Default::default()`), and
+//! `#[serde(skip)]`, which keeps scratch state out of checkpoints (never
+//! written, `Default::default()` on read). Everything else matches what
+//! this workspace uses and any other `#[serde(...)]` attribute is a
+//! compile error.
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -386,6 +388,18 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
+impl<T: Serialize> Serialize for VecDeque<T> {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+}
+
+impl<T: Deserialize> Deserialize for VecDeque<T> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Vec::<T>::from_value(v).map(VecDeque::from)
+    }
+}
+
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
@@ -469,3 +483,28 @@ macro_rules! impl_tuple {
 }
 
 impl_tuple!((A.0), (A.0, B.1), (A.0, B.1, C.2), (A.0, B.1, C.2, D.3));
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn vec_deque_round_trips_as_an_array_in_queue_order() {
+        let mut q: VecDeque<u32> = VecDeque::with_capacity(4);
+        q.extend([1, 2, 3, 4]);
+        q.pop_front();
+        q.push_back(5); // wrapped storage: serialization follows queue order
+        let v = q.to_value();
+        assert_eq!(
+            v,
+            Value::Array(vec![
+                Value::U64(2),
+                Value::U64(3),
+                Value::U64(4),
+                Value::U64(5)
+            ])
+        );
+        assert_eq!(VecDeque::<u32>::from_value(&v).unwrap(), q);
+        assert!(VecDeque::<u32>::from_value(&Value::U64(1)).is_err());
+    }
+}

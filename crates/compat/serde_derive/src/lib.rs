@@ -15,16 +15,23 @@
 //! Named fields may carry `#[serde(default)]`: deserialization then
 //! substitutes `Default::default()` when the key is absent, which is how
 //! the versioned `ScenarioSpec` schema stays loadable across field
-//! additions. Generics and every other `#[serde(...)]` attribute are
+//! additions. Named fields may also carry `#[serde(skip)]`: the field is
+//! never written and always reads back as `Default::default()`, which is
+//! how a simulator component leaves its scratch buffers out of a
+//! checkpoint. Generics and every other `#[serde(...)]` attribute are
 //! intentionally rejected.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// One named field: its identifier plus whether `#[serde(default)]` was
-/// attached (absent keys then fall back to `Default::default()`).
+/// One named field: its identifier plus its serde attributes.
 struct FieldDef {
     name: String,
+    /// `#[serde(default)]`: an absent key falls back to
+    /// `Default::default()`.
     default: bool,
+    /// `#[serde(skip)]`: never written, always `Default::default()` on
+    /// read.
+    skip: bool,
 }
 
 enum Fields {
@@ -76,8 +83,8 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
     let attrs = skip_attrs_and_vis(&tokens, &mut i)?;
-    if attrs.default {
-        return Err("#[serde(default)] is only supported on named struct fields".to_string());
+    if attrs.default || attrs.skip {
+        return Err(FIELD_ONLY.to_string());
     }
     let kind = match tokens.get(i) {
         Some(TokenTree::Ident(id)) => id.to_string(),
@@ -127,7 +134,11 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
 struct Attrs {
     /// `#[serde(default)]` was present.
     default: bool,
+    /// `#[serde(skip)]` was present.
+    skip: bool,
 }
+
+const FIELD_ONLY: &str = "#[serde(default)] and #[serde(skip)] are only supported on named fields";
 
 /// Advances `i` past any outer attributes (`#[...]`, including expanded
 /// doc comments) and a `pub` / `pub(...)` visibility qualifier,
@@ -154,10 +165,10 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) -> Result<Attrs, Stri
     }
 }
 
-/// Interprets one outer-attribute body: `serde(default)` sets the flag,
-/// any other `serde(...)` payload is rejected (so silently-ignored
-/// attributes can't hide schema bugs), and every non-serde attribute
-/// (doc comments, `derive`, ...) is ignored.
+/// Interprets one outer-attribute body: `serde(default)` and
+/// `serde(skip)` set their flags, any other `serde(...)` payload is
+/// rejected (so silently-ignored attributes can't hide schema bugs), and
+/// every non-serde attribute (doc comments, `derive`, ...) is ignored.
 fn parse_attr(body: TokenStream, attrs: &mut Attrs) -> Result<(), String> {
     let tokens: Vec<TokenTree> = body.into_iter().collect();
     match tokens.first() {
@@ -171,10 +182,11 @@ fn parse_attr(body: TokenStream, attrs: &mut Attrs) -> Result<(), String> {
     for t in inner {
         match &t {
             TokenTree::Ident(id) if id.to_string() == "default" => attrs.default = true,
+            TokenTree::Ident(id) if id.to_string() == "skip" => attrs.skip = true,
             TokenTree::Punct(p) if p.as_char() == ',' => {}
             other => {
                 return Err(format!(
-                    "unsupported #[serde({other})]: the vendored serde only knows `default`"
+                    "unsupported #[serde({other})]: only `default` and `skip` are known"
                 ))
             }
         }
@@ -183,9 +195,9 @@ fn parse_attr(body: TokenStream, attrs: &mut Attrs) -> Result<(), String> {
 }
 
 /// Extracts the fields of a named-fields body (name plus any
-/// `#[serde(default)]` marker), skipping each type by scanning to the
-/// next top-level comma (tracking `<`/`>` nesting; parens and brackets
-/// arrive pre-grouped).
+/// `#[serde(default)]`/`#[serde(skip)]` marker), skipping each type by
+/// scanning to the next top-level comma (tracking `<`/`>` nesting;
+/// parens and brackets arrive pre-grouped).
 fn parse_named_fields(body: TokenStream) -> Result<Vec<FieldDef>, String> {
     let tokens: Vec<TokenTree> = body.into_iter().collect();
     let mut fields = Vec::new();
@@ -212,6 +224,7 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<FieldDef>, String> {
         fields.push(FieldDef {
             name,
             default: attrs.default,
+            skip: attrs.skip,
         });
     }
     Ok(fields)
@@ -256,8 +269,8 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
     let mut i = 0;
     while i < tokens.len() {
         let attrs = skip_attrs_and_vis(&tokens, &mut i)?;
-        if attrs.default {
-            return Err("#[serde(default)] is only supported on named struct fields".to_string());
+        if attrs.default || attrs.skip {
+            return Err(FIELD_ONLY.to_string());
         }
         if i >= tokens.len() {
             break;
@@ -315,14 +328,14 @@ fn gen_serialize(item: &Item) -> String {
                         ));
                     }
                     Fields::Named(fields) => {
-                        let pat = fields
+                        let pat: String = fields
                             .iter()
-                            .map(|f| f.name.as_str())
-                            .collect::<Vec<_>>()
-                            .join(", ");
+                            .filter(|f| !f.skip)
+                            .map(|f| format!("{}, ", f.name))
+                            .collect();
                         let inner = named_to_map(fields, |f| f.to_string());
                         arms.push_str(&format!(
-                            "{name}::{vname} {{ {pat} }} => ::serde::Value::Map(::std::vec![\
+                            "{name}::{vname} {{ {pat}.. }} => ::serde::Value::Map(::std::vec![\
                                  (::std::string::String::from({vname:?}), {inner})]),\n"
                         ));
                     }
@@ -357,6 +370,7 @@ fn gen_serialize(item: &Item) -> String {
 fn named_to_map(fields: &[FieldDef], access: impl Fn(&str) -> String) -> String {
     let entries: Vec<String> = fields
         .iter()
+        .filter(|f| !f.skip)
         .map(|f| {
             let f = f.name.as_str();
             format!(
@@ -369,11 +383,14 @@ fn named_to_map(fields: &[FieldDef], access: impl Fn(&str) -> String) -> String 
 }
 
 /// One named-field initializer of the generated `from_value` body:
+/// `#[serde(skip)]` fields are always `Default::default()`,
 /// `#[serde(default)]` fields tolerate an absent key by substituting
 /// `Default::default()`, everything else requires the key.
 fn field_init(f: &FieldDef, src: &str) -> String {
     let name = f.name.as_str();
-    if f.default {
+    if f.skip {
+        format!("{name}: ::std::default::Default::default()")
+    } else if f.default {
         format!(
             "{name}: match {src}.opt_field({name:?})? {{ \
                  ::std::option::Option::Some(__v) => ::serde::Deserialize::from_value(__v)?, \

@@ -408,4 +408,55 @@ mod tests {
         let back: Vec<f64> = from_str(&json).unwrap();
         assert_eq!(back, v);
     }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct WithScratch {
+        kept: u64,
+        #[serde(skip)]
+        scratch: Vec<u64>,
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    enum VariantWithScratch {
+        Run {
+            kept: u64,
+            #[serde(skip)]
+            scratch: Vec<u64>,
+        },
+    }
+
+    #[test]
+    fn skipped_fields_are_not_written_and_read_back_as_default() {
+        let v = WithScratch {
+            kept: 7,
+            scratch: vec![1, 2],
+        };
+        let json = to_string(&v).unwrap();
+        assert_eq!(json, r#"{"kept":7}"#);
+        let back: WithScratch = from_str(&json).unwrap();
+        assert_eq!(
+            back,
+            WithScratch {
+                kept: 7,
+                scratch: Vec::new()
+            }
+        );
+        // A stray key for the skipped field is ignored, not read.
+        let back: WithScratch = from_str(r#"{"kept":7,"scratch":[9]}"#).unwrap();
+        assert!(back.scratch.is_empty());
+
+        let e = VariantWithScratch::Run {
+            kept: 3,
+            scratch: vec![4],
+        };
+        let json = to_string(&e).unwrap();
+        assert_eq!(json, r#"{"Run":{"kept":3}}"#);
+        assert_eq!(
+            from_str::<VariantWithScratch>(&json).unwrap(),
+            VariantWithScratch::Run {
+                kept: 3,
+                scratch: Vec::new()
+            }
+        );
+    }
 }

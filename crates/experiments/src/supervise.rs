@@ -42,7 +42,7 @@ use std::sync::Arc;
 /// Current [`CellCkpt::version`]. Bump whenever the checkpoint layout
 /// changes — old checkpoints are then ignored as stale (the cell
 /// restarts from quantum 0), never misinterpreted.
-pub const CELL_CKPT_VERSION: u32 = 1;
+pub const CELL_CKPT_VERSION: u32 = 2;
 
 /// The complete resumable state of one in-flight experiment cell,
 /// snapshotted at a logical-second boundary.

@@ -105,14 +105,16 @@ pub fn rules_for(rel: &str) -> &'static [RuleId] {
 /// * `stats.rs` — a struct's fields must be replicated by hand across
 ///   accumulate/diff/merge paths; see [`crate::mirror`] for the bug
 ///   class.
-/// * checkpoint pairs — every mutable field of a checkpointed component
-///   must be named in both its `save_state` and `restore_state` (a
-///   field that is rebuilt by the constructor is named in the
-///   `_rebuilt_by_constructor` roll-call tuple instead). Adding a field
-///   to a simulated component without serializing it would make a
-///   restored run silently diverge from the uninterrupted one — the
-///   exact bug the bit-identical-resume property test exists to catch,
-///   except the lint catches it before any test runs.
+/// * checkpoint pairs — every field of `System` and `A4Controller` must
+///   be named in both halves of its hand-written checkpoint pair (a
+///   field that is scratch, structural or rebuilt by the constructor is
+///   named in a roll-call tuple instead). Adding a field without
+///   serializing it would make a restored run silently diverge from the
+///   uninterrupted one — the exact bug the bit-identical-resume property
+///   test exists to catch, except the lint catches it before any test
+///   runs. The simulator components below `System` need no roll call:
+///   they derive their encoding, so every field is written unless it is
+///   marked `#[serde(skip)]`.
 pub fn workspace_mirrors() -> &'static [(&'static str, &'static [MirrorSpec])] {
     const STATS: &[MirrorSpec] = &[
         MirrorSpec {
@@ -135,56 +137,6 @@ pub fn workspace_mirrors() -> &'static [(&'static str, &'static [MirrorSpec])] {
             ],
         },
     ];
-    const MLC_CKPT: &[MirrorSpec] = &[MirrorSpec {
-        struct_name: "Mlc",
-        mirrors: &[("Mlc", "save_state"), ("Mlc", "restore_state")],
-    }];
-    const LLC_CKPT: &[MirrorSpec] = &[MirrorSpec {
-        struct_name: "Llc",
-        mirrors: &[("Llc", "save_state"), ("Llc", "restore_state")],
-    }];
-    const HIERARCHY_CKPT: &[MirrorSpec] = &[MirrorSpec {
-        struct_name: "CacheHierarchy",
-        mirrors: &[
-            ("CacheHierarchy", "save_state"),
-            ("CacheHierarchy", "restore_state"),
-        ],
-    }];
-    const ROUTE_CKPT: &[MirrorSpec] = &[
-        MirrorSpec {
-            struct_name: "UpiLink",
-            mirrors: &[("UpiLink", "save_state"), ("UpiLink", "restore_state")],
-        },
-        MirrorSpec {
-            struct_name: "UpiFabric",
-            mirrors: &[("UpiFabric", "save_state"), ("UpiFabric", "restore_state")],
-        },
-        MirrorSpec {
-            struct_name: "RemoteCache",
-            mirrors: &[
-                ("RemoteCache", "save_state"),
-                ("RemoteCache", "restore_state"),
-            ],
-        },
-    ];
-    const NIC_CKPT: &[MirrorSpec] = &[MirrorSpec {
-        struct_name: "NicModel",
-        mirrors: &[("NicModel", "save_state"), ("NicModel", "restore_state")],
-    }];
-    const NVME_CKPT: &[MirrorSpec] = &[MirrorSpec {
-        struct_name: "NvmeModel",
-        mirrors: &[("NvmeModel", "save_state"), ("NvmeModel", "restore_state")],
-    }];
-    const MEM_CKPT: &[MirrorSpec] = &[MirrorSpec {
-        struct_name: "MemoryController",
-        mirrors: &[
-            ("MemoryController", "save_state"),
-            ("MemoryController", "restore_state"),
-        ],
-    }];
-    // `DeviceModel` is an enum (out of the struct roll call's reach);
-    // its save/restore is exercised through `System`, whose own spec
-    // covers the `devices` field.
     const SYSTEM_CKPT: &[MirrorSpec] = &[MirrorSpec {
         struct_name: "System",
         mirrors: &[("System", "save_state"), ("System", "restore_state")],
@@ -198,13 +150,6 @@ pub fn workspace_mirrors() -> &'static [(&'static str, &'static [MirrorSpec])] {
     }];
     &[
         ("crates/cache/src/stats.rs", STATS),
-        ("crates/cache/src/mlc.rs", MLC_CKPT),
-        ("crates/cache/src/llc.rs", LLC_CKPT),
-        ("crates/cache/src/hierarchy.rs", HIERARCHY_CKPT),
-        ("crates/cache/src/route.rs", ROUTE_CKPT),
-        ("crates/pcie/src/nic.rs", NIC_CKPT),
-        ("crates/pcie/src/nvme.rs", NVME_CKPT),
-        ("crates/mem/src/lib.rs", MEM_CKPT),
         ("crates/sim/src/system.rs", SYSTEM_CKPT),
         ("crates/core/src/controller.rs", CONTROLLER_CKPT),
     ]
@@ -338,34 +283,36 @@ mod tests {
 
     #[test]
     fn forgetting_a_field_in_a_checkpoint_pair_is_a_lint_failure() {
-        // The checkpoint idiom: constructor-rebuilt fields are named in
-        // a `_rebuilt_by_constructor` roll-call tuple, mutable fields
-        // field-by-field. Dropping `live` from restore_state must be
-        // caught — that is a restored run silently diverging.
+        // The checkpoint idiom: scratch and structural fields are named
+        // in a roll-call tuple, mutable fields field-by-field. Dropping
+        // `now` from restore_state must be caught — that is a restored
+        // run silently diverging.
         let src = "
-            pub struct Mlc { geometry: u64, sets: Vec<u64>, live: u64 }
-            impl Mlc {
-                pub fn save_state(&self) -> MlcState {
-                    let _rebuilt_by_constructor = &self.geometry;
-                    MlcState { sets: self.sets.clone(), live: self.live }
+            pub struct System { cfg: u64, scratch: Vec<u64>, now: u64 }
+            impl System {
+                pub fn save_state(&self) -> SystemState {
+                    let _scratch_or_structural = &self.scratch;
+                    SystemState { cfg: self.cfg, now: self.now }
                 }
-                pub fn restore_state(&mut self, st: &MlcState) -> bool {
-                    let _rebuilt_by_constructor = &self.geometry;
-                    self.sets = st.sets.clone();
+                pub fn restore_state(&mut self, st: &SystemState) -> bool {
+                    let _scratch_or_structural = &self.scratch;
+                    if st.cfg != self.cfg {
+                        return false;
+                    }
                     true
                 }
             }
         ";
         let specs = workspace_mirrors()
             .iter()
-            .find(|(file, _)| *file == "crates/cache/src/mlc.rs")
+            .find(|(file, _)| *file == "crates/sim/src/system.rs")
             .map(|(_, specs)| *specs)
-            .expect("mlc checkpoint spec registered");
-        let findings = check_mirrors("crates/cache/src/mlc.rs", src, specs);
+            .expect("system checkpoint spec registered");
+        let findings = check_mirrors("crates/sim/src/system.rs", src, specs);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(
-            findings[0].message.contains("`Mlc::restore_state`")
-                && findings[0].message.contains("`live`"),
+            findings[0].message.contains("`System::restore_state`")
+                && findings[0].message.contains("`now`"),
             "{}",
             findings[0].message
         );

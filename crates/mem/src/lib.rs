@@ -135,7 +135,7 @@ impl MemoryTraffic {
 /// assert!(mem.latency_factor() >= 1.0);
 /// # Ok::<(), a4_model::A4Error>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemoryController {
     config: MemoryConfig,
     read_lines: u64,
@@ -223,44 +223,6 @@ impl MemoryController {
     pub fn cumulative_traffic(&self) -> MemoryTraffic {
         self.cumulative
     }
-
-    /// Snapshots the complete mutable controller state for a checkpoint.
-    pub fn save_state(&self) -> MemControllerState {
-        let _rebuilt_by_constructor = &self.config;
-        MemControllerState {
-            read_lines: self.read_lines,
-            write_lines: self.write_lines,
-            latency_factor: self.latency_factor,
-            utilization: self.utilization,
-            cumulative: self.cumulative,
-        }
-    }
-
-    /// Restores a [`MemoryController::save_state`] snapshot.
-    pub fn restore_state(&mut self, st: &MemControllerState) {
-        let _rebuilt_by_constructor = &self.config;
-        self.read_lines = st.read_lines;
-        self.write_lines = st.write_lines;
-        self.latency_factor = st.latency_factor;
-        self.utilization = st.utilization;
-        self.cumulative = st.cumulative;
-    }
-}
-
-/// Serializable snapshot of the complete mutable [`MemoryController`]
-/// state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MemControllerState {
-    /// Lines read from DRAM in the open interval.
-    pub read_lines: u64,
-    /// Lines written to DRAM in the open interval.
-    pub write_lines: u64,
-    /// Loaded-latency inflation factor from the last closed interval.
-    pub latency_factor: f64,
-    /// Utilization ρ measured over the last closed interval.
-    pub utilization: f64,
-    /// All traffic since construction.
-    pub cumulative: MemoryTraffic,
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ mod nvme;
 mod register;
 mod root;
 
-pub use nic::{NicConfig, NicModel, NicState, RxPacket, RxRing};
-pub use nvme::{NvmeCommand, NvmeCompletion, NvmeConfig, NvmeModel, NvmeOp, NvmeState};
+pub use nic::{NicConfig, NicModel, RxPacket, RxRing};
+pub use nvme::{NvmeCommand, NvmeCompletion, NvmeConfig, NvmeModel, NvmeOp};
 pub use register::PerfCtrlSts;
 pub use root::{PcieRoot, PortState};

@@ -207,7 +207,7 @@ impl RxRing {
 /// assert!(nic.rx_pop(0).is_some());
 /// # Ok::<(), a4_model::A4Error>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NicModel {
     device: DeviceId,
     config: NicConfig,
@@ -375,58 +375,6 @@ impl NicModel {
     pub fn tx_lines(&self) -> u64 {
         self.tx_lines_total
     }
-
-    /// Snapshots the complete mutable NIC state for a checkpoint.
-    pub fn save_state(&self) -> NicState {
-        let _rebuilt_by_constructor = (&self.device, &self.config);
-        NicState {
-            rings: self.rings.clone(),
-            byte_budget: self.byte_budget,
-            rr_cursor: self.rr_cursor,
-            delivered_packets: self.delivered_packets,
-            dropped_packets: self.dropped_packets,
-            rx_bytes: self.rx_bytes,
-            tx_lines_total: self.tx_lines_total,
-        }
-    }
-
-    /// Restores a [`NicModel::save_state`] snapshot.
-    ///
-    /// Returns `false` (without touching any state) if the snapshot's
-    /// ring count does not match this NIC's configuration.
-    pub fn restore_state(&mut self, st: &NicState) -> bool {
-        let _rebuilt_by_constructor = (&self.device, &self.config);
-        if st.rings.len() != self.rings.len() {
-            return false;
-        }
-        self.rings = st.rings.clone();
-        self.byte_budget = st.byte_budget;
-        self.rr_cursor = st.rr_cursor;
-        self.delivered_packets = st.delivered_packets;
-        self.dropped_packets = st.dropped_packets;
-        self.rx_bytes = st.rx_bytes;
-        self.tx_lines_total = st.tx_lines_total;
-        true
-    }
-}
-
-/// Serializable snapshot of the complete mutable [`NicModel`] state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NicState {
-    /// Rx ring contents (head/tail cursors and arrival stamps).
-    pub rings: Vec<RxRing>,
-    /// Fractional byte budget carried between quanta.
-    pub byte_budget: f64,
-    /// Round-robin ring cursor.
-    pub rr_cursor: usize,
-    /// Packets delivered into rings since construction.
-    pub delivered_packets: u64,
-    /// Packets dropped because the target ring was full.
-    pub dropped_packets: u64,
-    /// Bytes delivered into rings since construction.
-    pub rx_bytes: u64,
-    /// Lines transmitted (DMA-read) since construction.
-    pub tx_lines_total: u64,
 }
 
 #[cfg(test)]

@@ -105,7 +105,7 @@ pub struct NvmeCommand {
 }
 
 /// A completed command popped from the completion queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NvmeCompletion {
     /// The original command.
     pub cmd: NvmeCommand,
@@ -113,7 +113,7 @@ pub struct NvmeCompletion {
     pub completed_at: SimTime,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct Inflight {
     cmd: NvmeCommand,
     transferred: u64,
@@ -137,7 +137,7 @@ struct Inflight {
 /// assert!(ssd.pop_completion().is_some());
 /// # Ok::<(), a4_model::A4Error>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NvmeModel {
     device: DeviceId,
     config: NvmeConfig,
@@ -342,72 +342,6 @@ impl NvmeModel {
     pub fn commands_completed(&self) -> u64 {
         self.commands_completed
     }
-
-    /// Snapshots the complete mutable NVMe state for a checkpoint.
-    pub fn save_state(&self) -> NvmeState {
-        let _rebuilt_by_constructor = (&self.device, &self.config);
-        NvmeState {
-            queue: self.queue.iter().map(|e| (e.cmd, e.transferred)).collect(),
-            completions: self
-                .completions
-                .iter()
-                .map(|c| (c.cmd, c.completed_at))
-                .collect(),
-            byte_budget: self.byte_budget,
-            cmd_budget: self.cmd_budget,
-            read_bytes: self.read_bytes,
-            write_bytes: self.write_bytes,
-            commands_completed: self.commands_completed,
-        }
-    }
-
-    /// Restores a [`NvmeModel::save_state`] snapshot.
-    ///
-    /// Returns `false` (without touching any state) if the snapshot's
-    /// queue depth exceeds this device's configured slot count.
-    pub fn restore_state(&mut self, st: &NvmeState) -> bool {
-        let _rebuilt_by_constructor = (&self.device, &self.config);
-        if st.queue.len() > self.config.queue_slots {
-            return false;
-        }
-        self.queue = st
-            .queue
-            .iter()
-            .map(|&(cmd, transferred)| Inflight { cmd, transferred })
-            .collect();
-        self.completions = st
-            .completions
-            .iter()
-            .map(|&(cmd, completed_at)| NvmeCompletion { cmd, completed_at })
-            .collect();
-        self.byte_budget = st.byte_budget;
-        self.cmd_budget = st.cmd_budget;
-        self.read_bytes = st.read_bytes;
-        self.write_bytes = st.write_bytes;
-        self.commands_completed = st.commands_completed;
-        true
-    }
-}
-
-/// Serializable snapshot of the complete mutable [`NvmeModel`] state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NvmeState {
-    /// In-flight commands as `(command, lines transferred)` pairs, in
-    /// submission-queue order.
-    pub queue: Vec<(NvmeCommand, u64)>,
-    /// Unreaped completions as `(command, completed_at)` pairs, in
-    /// completion-queue order.
-    pub completions: Vec<(NvmeCommand, SimTime)>,
-    /// Fractional byte budget carried between quanta.
-    pub byte_budget: f64,
-    /// Fractional command (IOPS) budget carried between quanta.
-    pub cmd_budget: f64,
-    /// Bytes DMA-written to the host since construction.
-    pub read_bytes: u64,
-    /// Bytes DMA-read from the host since construction.
-    pub write_bytes: u64,
-    /// Commands retired since construction.
-    pub commands_completed: u64,
 }
 
 #[cfg(test)]

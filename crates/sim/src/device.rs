@@ -2,25 +2,16 @@
 
 use a4_cache::DmaRouter;
 use a4_model::{DeviceId, SimTime, WorkloadId};
-use a4_pcie::{NicModel, NicState, NvmeModel, NvmeState};
+use a4_pcie::{NicModel, NvmeModel};
 use serde::{Deserialize, Serialize};
 
 /// A PCIe device attached to the system.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DeviceModel {
     /// A network interface card.
     Nic(NicModel),
     /// An NVMe SSD (or RAID-0 array).
     Nvme(NvmeModel),
-}
-
-/// Serializable snapshot of one [`DeviceModel`]'s mutable state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum DeviceState {
-    /// NIC snapshot.
-    Nic(NicState),
-    /// NVMe snapshot.
-    Nvme(NvmeState),
 }
 
 impl DeviceModel {
@@ -80,20 +71,17 @@ impl DeviceModel {
         }
     }
 
-    /// Snapshots the device's mutable state for a checkpoint.
-    pub fn save_state(&self) -> DeviceState {
-        match self {
-            DeviceModel::Nic(nic) => DeviceState::Nic(nic.save_state()),
-            DeviceModel::Nvme(ssd) => DeviceState::Nvme(ssd.save_state()),
-        }
-    }
-
-    /// Restores a [`DeviceModel::save_state`] snapshot. Returns `false`
-    /// if the snapshot's device class or shape does not match.
-    pub fn restore_state(&mut self, st: &DeviceState) -> bool {
-        match (self, st) {
-            (DeviceModel::Nic(nic), DeviceState::Nic(s)) => nic.restore_state(s),
-            (DeviceModel::Nvme(ssd), DeviceState::Nvme(s)) => ssd.restore_state(s),
+    /// Whether `snap` is a checkpoint of this device: same class, id and
+    /// configuration, and an NVMe queue no deeper than its slot count.
+    pub(crate) fn admits(&self, snap: &DeviceModel) -> bool {
+        match (self, snap) {
+            (DeviceModel::Nic(live), DeviceModel::Nic(s)) => {
+                (live.device(), live.config()) == (s.device(), s.config())
+            }
+            (DeviceModel::Nvme(live), DeviceModel::Nvme(s)) => {
+                (live.device(), live.config()) == (s.device(), s.config())
+                    && s.outstanding() <= s.config().queue_slots
+            }
             _ => false,
         }
     }

@@ -48,7 +48,7 @@ mod workload;
 
 pub use config::{LatencyModel, SystemConfig};
 pub use ctx::CoreCtx;
-pub use device::{DeviceModel, DeviceState};
+pub use device::DeviceModel;
 pub use perf::{LatencyKind, WorkloadPerf};
 pub use sample::{DeviceSample, LatencyStat, MonitorSample, UpiLinkSample, WorkloadSample};
 pub use system::{SlotState, System, SystemState, SYSTEM_CKPT_VERSION};

@@ -2,15 +2,14 @@
 
 use crate::config::SystemConfig;
 use crate::ctx::CoreCtx;
-use crate::device::{DeviceModel, DeviceState};
+use crate::device::DeviceModel;
 use crate::perf::WorkloadPerf;
 use crate::sample::{DeviceSample, MonitorSample, UpiLinkSample, WorkloadSample};
 use crate::workload::Workload;
 use a4_cache::{
-    CacheHierarchy, CacheHierarchyState, DmaRouter, HierarchyStats, RemoteCache, RemoteCacheState,
-    UpiFabric, UpiLinkState, WorkloadCounters,
+    CacheHierarchy, DmaRouter, HierarchyStats, RemoteCache, UpiFabric, WorkloadCounters,
 };
-use a4_mem::{MemControllerState, MemoryController};
+use a4_mem::MemoryController;
 use a4_model::{
     A4Error, Bytes, ClosId, CoreId, DeviceClass, DeviceId, LineAddr, PortId, Priority, Result,
     SimTime, WayMask, WorkloadId,
@@ -24,7 +23,7 @@ use std::sync::Arc;
 /// Version tag of the [`SystemState`] snapshot encoding. Bump whenever a
 /// checkpointed struct gains, loses, or re-encodes a field; restore
 /// rejects snapshots from any other version as stale.
-pub const SYSTEM_CKPT_VERSION: u32 = 2;
+pub const SYSTEM_CKPT_VERSION: u32 = 3;
 
 #[derive(Debug)]
 struct Slot {
@@ -849,14 +848,15 @@ impl System {
     ///
     /// Restoring the snapshot into a process-equivalent system (same
     /// [`SystemConfig`], same attach/registration history) and continuing
-    /// is bit-identical to never having stopped. Not captured, because
-    /// they are scratch or derived: `sample_deltas`/`sample_merged`
-    /// (overwritten before every use), `device_owners` (recomputed from
-    /// the slots on demand), `cfg` and `device_sockets` (structural —
-    /// reproduced by rebuilding from the same spec).
+    /// is bit-identical to never having stopped. The components travel
+    /// as themselves; each one leaves its scratch fields out of the
+    /// encoding (`#[serde(skip)]`). Not captured here, because they are
+    /// scratch or derived: `sample_deltas`/`sample_merged` (overwritten
+    /// before every use), `device_owners` (recomputed from the slots on
+    /// demand) and `device_sockets` (structural — reproduced by
+    /// rebuilding from the same spec).
     pub fn save_state(&self) -> SystemState {
         let _scratch_or_structural = (
-            &self.cfg,
             &self.device_sockets,
             &self.sample_deltas,
             &self.sample_merged,
@@ -865,12 +865,13 @@ impl System {
         );
         SystemState {
             version: SYSTEM_CKPT_VERSION,
-            socks: self.socks.iter().map(CacheHierarchy::save_state).collect(),
-            upi: self.upi.save_state(),
-            rcaches: self.rcaches.iter().map(RemoteCache::save_state).collect(),
-            mem: self.mem.save_state(),
+            cfg: self.cfg,
+            socks: self.socks.clone(),
+            upi: self.upi.clone(),
+            rcaches: self.rcaches.clone(),
+            mem: self.mem.clone(),
             root: self.root.clone(),
-            devices: self.devices.iter().map(DeviceModel::save_state).collect(),
+            devices: self.devices.clone(),
             slots: self
                 .slots
                 .iter()
@@ -882,7 +883,7 @@ impl System {
                 .collect(),
             now: self.now,
             quantum_count: self.quantum_count,
-            rng: self.rng.state().to_vec(),
+            rng: self.rng.state(),
             alloc_cursors: self.alloc_cursors.clone(),
             quantum_totals: self.quantum_totals.clone(),
             sample_snapshots: self.sample_snapshots.clone(),
@@ -905,24 +906,28 @@ impl System {
     /// snapshot: built from the same [`SystemConfig`] with the same
     /// devices attached and workloads registered, in the same order.
     /// Returns `false` — leaving this system in its pre-call state — if
-    /// the snapshot's version or shape does not match; every nested
-    /// component is dry-run against a copy before anything is committed.
+    /// the snapshot's version, configuration, device ids and
+    /// configurations or component counts do not match, or if a workload
+    /// engine rejects its encoding.
     pub fn restore_state(&mut self, st: &SystemState) -> bool {
         let _scratch_or_structural = (
-            &self.cfg,
             &self.device_sockets,
             &self.sample_deltas,
             &self.sample_merged,
             &self.device_owners,
-            &self.device_owners_stale,
         );
         if st.version != SYSTEM_CKPT_VERSION
+            || st.cfg != self.cfg
             || st.socks.len() != self.socks.len()
-            || st.upi.len() != self.upi.links().len()
+            || st.upi.links().len() != self.upi.links().len()
             || st.rcaches.len() != self.rcaches.len()
             || st.devices.len() != self.devices.len()
+            || st
+                .devices
+                .iter()
+                .zip(&self.devices)
+                .any(|(s, d)| !d.admits(s))
             || st.slots.len() != self.slots.len()
-            || st.rng.len() != 4
             || st.alloc_cursors.len() != self.alloc_cursors.len()
             || st.quantum_totals.len() != self.quantum_totals.len()
             || st.sample_snapshots.len() != self.sample_snapshots.len()
@@ -932,60 +937,33 @@ impl System {
         {
             return false;
         }
-        // Dry-run every nested restore against clones so a mid-restore
-        // mismatch cannot leave the system half-updated.
-        let mut socks = self.socks.clone();
-        if socks
-            .iter_mut()
-            .zip(&st.socks)
-            .any(|(hier, s)| !hier.restore_state(s))
-        {
-            return false;
+        // Workload engines are trait objects and cannot be cloned: keep
+        // each one's current encoding, and if a later engine rejects its
+        // snapshot, re-apply the kept encodings to the engines already
+        // restored.
+        let kept: Vec<Vec<u64>> = self.slots.iter().map(|s| s.wl.ckpt_state()).collect();
+        for (k, s) in st.slots.iter().enumerate() {
+            if !self.slots[k].wl.restore_ckpt(&s.wl_state) {
+                for (slot, old) in self.slots.iter_mut().zip(&kept).take(k) {
+                    let reapplied = slot.wl.restore_ckpt(old);
+                    debug_assert!(reapplied, "an engine rejected its own encoding");
+                }
+                return false;
+            }
         }
-        let mut devices = self.devices.clone();
-        if devices
-            .iter_mut()
-            .zip(&st.devices)
-            .any(|(dev, s)| !dev.restore_state(s))
-        {
-            return false;
-        }
-        let mut rcaches = self.rcaches.clone();
-        if rcaches
-            .iter_mut()
-            .zip(&st.rcaches)
-            .any(|(rc, s)| !rc.restore_state(s))
-        {
-            return false;
-        }
-        // Workload engines cannot be cloned (trait objects), so their
-        // encodings are validated by a parse-only restore onto the live
-        // engine — every engine's `restore_ckpt` either fully applies a
-        // recognized encoding or rejects without mutating.
-        if self
-            .slots
-            .iter_mut()
-            .zip(&st.slots)
-            .any(|(slot, s)| !slot.wl.restore_ckpt(&s.wl_state))
-        {
-            return false;
-        }
-        self.socks = socks;
-        self.devices = devices;
-        self.rcaches = rcaches;
         for (slot, s) in self.slots.iter_mut().zip(&st.slots) {
             slot.perf = s.perf.clone();
             slot.active = s.active;
         }
-        // Cannot fail: the link count was shape-checked above.
-        let fabric_ok = self.upi.restore_state(&st.upi);
-        debug_assert!(fabric_ok);
-        self.upi_snapshots = st.upi_snapshots.clone();
-        self.mem.restore_state(&st.mem);
+        self.socks = st.socks.clone();
+        self.upi = st.upi.clone();
+        self.rcaches = st.rcaches.clone();
+        self.mem = st.mem.clone();
         self.root = st.root.clone();
+        self.devices = st.devices.clone();
         self.now = st.now;
         self.quantum_count = st.quantum_count;
-        self.rng = SmallRng::from_state([st.rng[0], st.rng[1], st.rng[2], st.rng[3]]);
+        self.rng = SmallRng::from_state(st.rng);
         self.alloc_cursors = st.alloc_cursors.clone();
         self.quantum_totals = st.quantum_totals.clone();
         self.sample_snapshots = st.sample_snapshots.clone();
@@ -994,6 +972,7 @@ impl System {
             .iter()
             .map(|&(delivered, dropped)| DevSnapshot { delivered, dropped })
             .collect();
+        self.upi_snapshots = st.upi_snapshots.clone();
         self.interval_mem_read = st.interval_mem_read;
         self.interval_mem_written = st.interval_mem_written;
         self.interval_start = st.interval_start;
@@ -1027,26 +1006,29 @@ pub struct SlotState {
 pub struct SystemState {
     /// Snapshot encoding version ([`SYSTEM_CKPT_VERSION`]).
     pub version: u32,
-    /// Per-socket cache hierarchy snapshots.
-    pub socks: Vec<CacheHierarchyState>,
-    /// Per-link UPI fabric snapshots, in fabric link order.
-    pub upi: Vec<UpiLinkState>,
-    /// Per-socket remote-requester cache snapshots.
-    pub rcaches: Vec<RemoteCacheState>,
-    /// Memory controller snapshot.
-    pub mem: MemControllerState,
+    /// The configuration the snapshotted system was built from; restore
+    /// requires it to equal the target's.
+    pub cfg: SystemConfig,
+    /// Per-socket cache hierarchies.
+    pub socks: Vec<CacheHierarchy>,
+    /// The UPI fabric.
+    pub upi: UpiFabric,
+    /// Per-socket remote-requester caches.
+    pub rcaches: Vec<RemoteCache>,
+    /// Memory controller.
+    pub mem: MemoryController,
     /// PCIe root complex (port registers and attachments).
     pub root: PcieRoot,
-    /// Per-device snapshots, in attach order.
-    pub devices: Vec<DeviceState>,
+    /// Devices, in attach order.
+    pub devices: Vec<DeviceModel>,
     /// Per-workload slot snapshots, in registration order.
     pub slots: Vec<SlotState>,
     /// Current simulated time.
     pub now: SimTime,
     /// Completed quanta.
     pub quantum_count: u64,
-    /// System RNG state (xoshiro256++, always 4 words).
-    pub rng: Vec<u64>,
+    /// System RNG state (xoshiro256++).
+    pub rng: [u64; 4],
     /// Per-socket buffer allocation cursors.
     pub alloc_cursors: Vec<u64>,
     /// Per-socket per-quantum memory-traffic snapshots.
@@ -1434,9 +1416,13 @@ mod tests {
         wrong_version.version = SYSTEM_CKPT_VERSION + 1;
         assert!(!s.restore_state(&wrong_version));
 
-        let mut wrong_rng = good.clone();
-        wrong_rng.rng.pop();
-        assert!(!s.restore_state(&wrong_rng));
+        // The RNG state's length is fixed by its type: a short one does
+        // not even parse.
+        let json = serde_json::to_string(&good).unwrap();
+        let rng = |w: Vec<u64>| format!("\"rng\":{}", serde_json::to_string(&w).unwrap());
+        let short_rng = json.replace(&rng(good.rng.to_vec()), &rng(good.rng[..3].to_vec()));
+        assert_ne!(short_rng, json);
+        assert!(serde_json::from_str::<SystemState>(&short_rng).is_err());
 
         let mut wrong_socks = good.clone();
         wrong_socks.socks.clear();
@@ -1445,6 +1431,58 @@ mod tests {
         // A failed restore never perturbed the system.
         assert_eq!(s.rng_probe(), probe);
         assert!(s.restore_state(&good));
+    }
+
+    #[test]
+    fn restore_rejects_a_foreign_configuration_of_the_same_shape_untouched() {
+        let build = |cfg: SystemConfig, ring_entries: usize| {
+            let mut s = System::new(cfg);
+            s.attach_nic(PortId(0), NicConfig::connectx6_100g(1, ring_entries, 64))
+                .unwrap();
+            s.run_quanta(3);
+            s
+        };
+        let donor = build(SystemConfig::small_test(), 8).save_state();
+        let mut other_memory = SystemConfig::small_test();
+        other_memory.memory.channels += 1;
+        // Same socket, device, ring and slot counts as the donor; only a
+        // NIC's ring depth or the DRAM model differs.
+        for mut target in [
+            build(SystemConfig::small_test(), 16),
+            build(other_memory, 8),
+        ] {
+            target.run_quanta(2);
+            let before = serde_json::to_string(&target.save_state()).unwrap();
+            assert!(!target.restore_state(&donor));
+            assert_eq!(serde_json::to_string(&target.save_state()).unwrap(), before);
+        }
+    }
+
+    #[test]
+    fn failed_engine_restore_leaves_every_engine_untouched() {
+        let mut s = sys();
+        for core in [CoreId(0), CoreId(1)] {
+            let base = s.alloc_lines(16);
+            s.add_workload(
+                Box::new(Streamer {
+                    base,
+                    lines: 16,
+                    cursor: 0,
+                }),
+                vec![core],
+                Priority::High,
+            )
+            .unwrap();
+        }
+        s.run_quanta(2);
+        let mut bad = s.save_state();
+        s.run_quanta(3);
+        // Slot 0's encoding is valid; slot 1's is not (a Streamer
+        // encodes exactly one word).
+        bad.slots[1].wl_state.clear();
+        let before = serde_json::to_string(&s.save_state()).unwrap();
+        assert!(!s.restore_state(&bad));
+        assert_eq!(serde_json::to_string(&s.save_state()).unwrap(), before);
     }
 
     #[test]
