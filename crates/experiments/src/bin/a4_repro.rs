@@ -26,8 +26,9 @@
 //! --dump-specs DIR: write each figure's cells as DIR/<fig>.specs.json
 //!                   instead of running them
 //! --spec FILE:      load a ScenarioSpec (or array of them) from JSON —
-//!                   older schema versions are migrated — run it, and
-//!                   print a per-role metric table
+//!                   older schema versions are migrated — run it like a
+//!                   figure (same seeds, same store keys, --replicas
+//!                   applies), and print a per-role metric table
 //! --cache-dir DIR:  the shared result store (default out/.cache);
 //!                   cells already stored are loaded instead of
 //!                   re-simulated, so edited sweeps re-run only the
@@ -38,10 +39,12 @@
 //!                   entries not touched (stored or loaded) within
 //!                   --max-age-days (default 30). With no figures/specs
 //!                   requested, exits after the sweep.
-//! --replicas N:     run every cell at N derived-seed replicas and
-//!                   report mean ± stddev per metric (replicas hit the
-//!                   store independently); --json writes <id>.mean.json
-//!                   and <id>.stddev.json
+//! --replicas N:     run every cell (of a figure or a --spec file) at N
+//!                   derived-seed replicas and report mean ± stddev per
+//!                   metric (replicas hit the store independently); a
+//!                   figure's dumped spec file bakes to the figure's
+//!                   own keys; --json writes <id>.mean.json and
+//!                   <id>.stddev.json
 //! --shard I/N:      execute only shard I of N of each figure's work
 //!                   units into the store (run the other shards in
 //!                   other processes against the same --cache-dir);
@@ -92,7 +95,7 @@ use a4_experiments::cache::ResultCache;
 use a4_experiments::fig11;
 use a4_experiments::service::ServiceError;
 use a4_experiments::{drain_queue, fabric_health, Backoff, DrainReport, FaultFs, Fs};
-use a4_experiments::{figures, FigureDef, JobTables, SeedPolicy, Shard, SweepJob};
+use a4_experiments::{figures, run_replicated, FigureDef, JobTables, SeedPolicy, Shard, SweepJob};
 use a4_experiments::{CkptStore, MAX_ATTEMPTS};
 use a4_experiments::{JobQueue, Task};
 use a4_experiments::{RunOpts, ScenarioSpec, Scheme, SweepRunner, Table, TableStats};
@@ -670,31 +673,23 @@ fn main() {
             "[a4-repro] running {} scenario(s) from {path} on {threads} thread(s)...",
             specs.len()
         );
-        if replicas > 1 {
-            // Runs the spec file at every replica and aggregates
-            // cell-wise; replica r's runner derives seeds as replica(r).
-            let per_replica: Vec<Vec<Table>> = (0..replicas as u64)
-                .map(|r| {
-                    runner
-                        .clone()
-                        .replica(r)
-                        .run_specs(&specs)
-                        .unwrap_or_else(|e| fail(format!("spec failed: {e}")))
-                        .iter()
-                        .map(spec_table)
-                        .collect()
-                })
-                .collect();
-            replica_tables.extend((0..per_replica[0].len()).map(|ti| {
-                let group: Vec<Table> = per_replica.iter().map(|rep| rep[ti].clone()).collect();
-                TableStats::from_replicas(&group)
-            }));
-        } else {
-            let runs = runner
-                .run_specs(&specs)
-                .unwrap_or_else(|e| fail(format!("spec failed: {e}")));
-            tables.extend(runs.iter().map(spec_table));
-        }
+        // Seeds bake exactly as for a figure job, so a dumped figure's
+        // spec file reuses that figure's store entries.
+        let rendered = run_replicated(
+            &runner,
+            &specs,
+            replicas as u64,
+            SeedPolicy::SpecSeed,
+            |runs| runs.iter().map(spec_table).collect(),
+        )
+        .unwrap_or_else(|failures| {
+            fail(ServiceError::CellsFailed {
+                figure: path.clone(),
+                failures,
+                total: specs.len() * replicas,
+            })
+        });
+        collect(rendered, &mut tables, &mut replica_tables);
     }
 
     if let Some(dir) = dump_dir {

@@ -24,9 +24,10 @@
 //!
 //! Entries are stored as a checksummed envelope
 //! `{"payload_fnv": <`[`content_key`]` of the report JSON>, "report":
-//! <report>}` and written via a temp-file rename, so an interrupted
-//! writer never leaves a torn entry. On load, three failure classes are
-//! distinguished:
+//! <report>}` ([`seal`]) and written via a temp-file rename, so an
+//! interrupted writer never leaves a torn entry. [`open`] hashes the
+//! payload bytes exactly as they sit on disk, then parses them. On
+//! load, three failure classes are distinguished:
 //!
 //! * **unreadable / unparseable** (torn tmp promoted by a buggy tool,
 //!   pre-envelope legacy entries) — a plain miss, re-simulated and
@@ -100,16 +101,47 @@ pub fn spec_key(spec: &ScenarioSpec) -> String {
     content_key(&serde_json::to_string(spec).expect("specs serialize"))
 }
 
-/// The on-disk entry form: the report wrapped with its own checksum, so
-/// corrupt-but-parseable entries are detectable. Serialization is
-/// byte-stable within one build, so re-serializing the parsed report
-/// and re-hashing reproduces `payload_fnv` exactly for intact entries.
-#[derive(Debug, Deserialize)]
-struct StoredEntry {
-    /// [`content_key`] of the serialized `report` field.
-    payload_fnv: String,
-    /// The cached report itself.
-    report: RunReport,
+/// Wraps the serialized `payload` in the checksummed store envelope
+/// `{"payload_fnv":"<content key of payload>","<field>":<payload>}` — the
+/// on-disk form of both [`ResultCache`] entries and checkpoints.
+pub(crate) fn seal(field: &str, payload: &str) -> String {
+    format!(
+        "{{\"payload_fnv\":\"{}\",\"{field}\":{payload}}}",
+        content_key(payload)
+    )
+}
+
+/// Why [`open`] refused an envelope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Unsealed {
+    /// Not a [`seal`] envelope, or a payload that does not parse: torn,
+    /// foreign or legacy bytes.
+    Malformed,
+    /// A parseable payload whose bytes the checksum does not cover.
+    Mismatch,
+}
+
+/// Opens a [`seal`] envelope: checks the checksum over the payload bytes
+/// exactly as stored, then parses them. A payload edited in any way —
+/// a flipped bit, inserted whitespace — fails the check even where it
+/// would parse to the same value.
+pub(crate) fn open<T: Deserialize>(field: &str, sealed: &str) -> Result<T, Unsealed> {
+    let rest = sealed
+        .strip_prefix("{\"payload_fnv\":\"")
+        .ok_or(Unsealed::Malformed)?;
+    let (fnv, rest) = rest.split_once("\",\"").ok_or(Unsealed::Malformed)?;
+    let payload = rest
+        .strip_prefix(field)
+        .and_then(|r| r.strip_prefix("\":"))
+        .and_then(|r| r.strip_suffix('}'))
+        .ok_or(Unsealed::Malformed)?;
+    let intact = content_key(payload) == fnv;
+    let value = serde_json::from_str(payload).map_err(|_| Unsealed::Malformed)?;
+    if intact {
+        Ok(value)
+    } else {
+        Err(Unsealed::Mismatch)
+    }
 }
 
 /// An on-disk store of [`RunReport`]s keyed by [`spec_key`].
@@ -221,13 +253,15 @@ impl ResultCache {
     /// last run touched always survive a GC.
     pub fn load(&self, key: &str) -> Option<RunReport> {
         let path = self.path_of(key);
-        let json = self.fs.read_to_string(&path).ok()?;
-        let entry: StoredEntry = serde_json::from_str(&json).ok()?;
-        let payload = serde_json::to_string(&entry.report).ok()?;
-        if content_key(&payload) != entry.payload_fnv {
-            self.quarantine(key, &path);
-            return None;
-        }
+        let sealed = self.fs.read_to_string(&path).ok()?;
+        let report = match open("report", &sealed) {
+            Ok(report) => report,
+            Err(Unsealed::Malformed) => return None,
+            Err(Unsealed::Mismatch) => {
+                self.quarantine(key, &path);
+                return None;
+            }
+        };
         self.hits.fetch_add(1, Ordering::Relaxed);
         // The refresh is best-effort (a read-only store still serves
         // hits) but a failure must be *visible*: it means the next GC
@@ -239,7 +273,7 @@ impl ResultCache {
                 path.display()
             );
         }
-        Some(entry.report)
+        Some(report)
     }
 
     /// Moves a checksum-mismatched entry to `corrupt/` and counts it.
@@ -313,14 +347,10 @@ impl ResultCache {
     /// process.
     pub fn store(&self, key: &str, report: &RunReport) {
         self.simulated.fetch_add(1, Ordering::Relaxed);
-        let json = match serde_json::to_string(report) {
-            Ok(json) => json,
+        let envelope = match serde_json::to_string(report) {
+            Ok(json) => seal("report", &json),
             Err(_) => return,
         };
-        let envelope = format!(
-            "{{\"payload_fnv\":\"{}\",\"report\":{json}}}",
-            content_key(&json)
-        );
         let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = self
             .dir
@@ -491,6 +521,24 @@ mod tests {
         // round-trips normally.
         cache.store("feedface", &quick_report());
         assert!(cache.load("feedface").is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reformatted_payloads_are_quarantined() {
+        // The checksum covers the payload bytes as stored, not the value
+        // they parse to: whitespace inserted into an otherwise intact
+        // entry is corruption, never served.
+        let dir = tmp_dir("reformat");
+        let cache = ResultCache::new(&dir);
+        cache.store("beef", &quick_report());
+        let path = cache.path_of("beef");
+        let stored = std::fs::read_to_string(&path).unwrap();
+        let reformatted = stored.replacen("\"report\":{", "\"report\":{ ", 1);
+        assert_ne!(reformatted, stored);
+        std::fs::write(&path, reformatted).unwrap();
+        assert!(cache.load("beef").is_none(), "never served");
+        assert_eq!(cache.quarantined(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -14,7 +14,6 @@
 //! ones (each placement's [`Metric`](crate::spec::Metric)); everything
 //! normalized to the Default model.
 
-use crate::runner::SweepRunner;
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec, Scheme, WorkloadSpec};
 use crate::table::Table;
 use a4_model::Priority;
@@ -112,19 +111,11 @@ pub fn specs(opts: &RunOpts, hpw_heavy: bool) -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// Runs one scenario across all six schemes, fanning the cells out over
-/// `runner`; rows are workloads plus the Avg(HP)/Avg(LP)/Avg(all)
-/// summary rows, columns are relative performance per scheme (normalized
-/// to Default) plus the A4-d LLC hit rate.
-pub fn run_with(opts: &RunOpts, hpw_heavy: bool, runner: &SweepRunner) -> Table {
-    let runs = runner
-        .run_specs(&specs(opts, hpw_heavy))
-        .expect("static fig13 layout");
-    table(hpw_heavy, &runs)
-}
-
 /// Renders one panel from the runs of [`specs`] (same order, one run per
-/// scheme of [`Scheme::all_six`]).
+/// scheme of [`Scheme::all_six`]): rows are workloads plus the
+/// Avg(HP)/Avg(LP)/Avg(all) summary rows, columns are relative
+/// performance per scheme (normalized to Default) plus the A4-d LLC hit
+/// rate.
 pub fn table(hpw_heavy: bool, runs: &[ScenarioRun]) -> Table {
     let (id, title) = if hpw_heavy {
         ("fig13a", "HPW-heavy colocation (7 HPW + 4 LPW)")

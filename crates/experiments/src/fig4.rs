@@ -100,12 +100,10 @@ pub fn table(runs: &[ScenarioRun]) -> Table {
     );
     let solo = &runs[0];
     table.push("solo [9:10]", [0.0, solo.llc_miss_rate("xmem")]);
-    for (cell, run) in grid().sweep().cells().iter().zip(&runs[1..]) {
+    let grid = grid();
+    for ([dca, mask], run) in grid.labels().into_iter().zip(&runs[1..]) {
         let (p99, miss) = point_metrics(run, true);
-        table.push(
-            format!("dca={} {}", cell.labels[0], cell.labels[1]),
-            [p99, miss],
-        );
+        table.push(format!("dca={dca} {mask}"), [p99, miss]);
     }
     table
 }

@@ -125,8 +125,7 @@ pub fn mix_spec(opts: &RunOpts, scheme: Scheme, placement: Placement) -> Scenari
 }
 
 /// All cells of the figure, generated from the typed grid (placement
-/// major, scheme minor — the same order `grid().sweep().cells()`
-/// enumerates).
+/// major, scheme minor — the same order `grid().labels()` enumerates).
 pub fn specs(opts: &RunOpts) -> Vec<ScenarioSpec> {
     grid().map(|&placement, &scheme| mix_spec(opts, scheme, placement))
 }
@@ -250,12 +249,13 @@ mod tests {
     fn specs_follow_the_typed_grid_order() {
         let opts = RunOpts::quick();
         let specs = specs(&opts);
-        let cells = grid().sweep().cells();
+        let grid = grid();
+        let cells = grid.labels();
         assert_eq!(specs.len(), cells.len());
-        for (spec, cell) in specs.iter().zip(&cells) {
+        for (spec, [placement, scheme]) in specs.iter().zip(cells) {
             assert_eq!(
                 spec.name,
-                format!("fig_numa {} {}", cell.labels[0], cell.labels[1]),
+                format!("fig_numa {placement} {scheme}"),
                 "spec order must match the label grid's cell order"
             );
             assert_eq!(spec.system.sockets, Some(2));

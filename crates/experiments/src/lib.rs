@@ -9,9 +9,10 @@
 //! (the grid as data) and a pure `table(runs)`/`tables(runs)` renderer
 //! producing [`Table`]s whose rows/series correspond to what the paper
 //! plots. Figures run through the registry ([`service::figures`]) and a
-//! [`service::SweepJob`]; whichever entry point starts a cell, it runs
-//! through the runner's one supervised path (seed derivation, store
-//! lookup, checkpoint resume, watchdog, store). The [`service`] module
+//! [`service::SweepJob`]. Seeds are baked into the specs in one place,
+//! [`service::bake_units`], for figures and spec files alike; whichever
+//! entry point starts a cell, it runs through the runner's one
+//! supervised path (store lookup, checkpoint resume, watchdog, store). The [`service`] module
 //! ties the two halves together: a
 //! [`service::SweepJob`] describes a figure sweep as serializable data
 //! that any process can execute in [`service::Shard`]s against the
@@ -66,12 +67,10 @@ mod table;
 pub use cache::{spec_key, ResultCache};
 pub use fault::{Backoff, FabricHealth, FaultFs, FaultPlan, Fs, RealFs};
 pub use queue::{Enqueued, JobQueue, QueueError, Task, TaskState, MIN_STALE_AGE};
-pub use runner::{
-    CellFailure, FailureKind, Sweep, SweepOutcome, SweepRunner, TypedAxis, TypedSweep2,
-};
+pub use runner::{CellFailure, FailureKind, SweepOutcome, SweepRunner, TypedAxis, TypedSweep2};
 pub use service::{
-    drain_queue, fabric_health, figures, DrainReport, FigureDef, JobTables, Protocol, SeedPolicy,
-    Shard, SweepJob, MAX_ATTEMPTS, MAX_HEARTBEAT_FAILURES,
+    bake_units, drain_queue, fabric_health, figures, run_replicated, DrainReport, FigureDef,
+    JobTables, Protocol, SeedPolicy, Shard, SweepJob, MAX_ATTEMPTS, MAX_HEARTBEAT_FAILURES,
 };
 pub use spec::{RunOpts, ScenarioRun, ScenarioSpec, Scheme, WorkloadSpec};
 pub use supervise::{CellCkpt, CellSupervisor, CkptStore, CELL_CKPT_VERSION};

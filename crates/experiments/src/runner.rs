@@ -1,14 +1,15 @@
 //! The sweep engine: cartesian grids of experiment cells executed in
 //! parallel with deterministic collection.
 //!
-//! [`Sweep`] describes a grid of named axes (`Sweep::over(axis,
-//! values)`, chained with [`Sweep::and`]); its [`Sweep::cells`] are the
-//! cartesian product in row-major order (first axis slowest). A
-//! [`SweepRunner`] maps cells — usually [`ScenarioSpec`]s — across a
-//! pool of scoped threads and collects results *by cell index*, so the
-//! output is byte-identical regardless of thread count: every cell owns
-//! its own [`crate::spec::Scenario`] (own RNG seeded from its spec), and
-//! no simulation state is shared between threads.
+//! [`TypedSweep2`] describes a two-axis grid of typed values with
+//! display labels; [`TypedSweep2::map`] visits its cells in row-major
+//! order (first axis slowest). A [`SweepRunner`] runs
+//! [`ScenarioSpec`]s across a pool of scoped threads exactly as given
+//! (seeds are baked into the specs beforehand, by
+//! [`crate::service::bake_units`]) and collects results *by cell
+//! index*, so the output is byte-identical regardless of thread count:
+//! every cell owns its own [`crate::spec::Scenario`] (own RNG seeded
+//! from its spec), and no simulation state is shared between threads.
 
 use crate::cache::{spec_key, ResultCache};
 use crate::spec::{Scenario, ScenarioRun, ScenarioSpec, SpecError};
@@ -34,113 +35,6 @@ pub fn derive_seed(base: u64, cell: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// The effective spec of cell `index`: the one place cell seeds are
-/// derived. With a `replica` the seed is doubly derived,
-/// [`derive_seed`]`(`[`derive_seed`]`(spec_seed, replica), index)`, so
-/// it is decorrelated across both replicas and cells; otherwise
-/// `per_cell` selects [`derive_seed`]`(spec_seed, index)`, and neither
-/// keeps the spec's own seed.
-pub(crate) fn cell_spec(
-    spec: &ScenarioSpec,
-    replica: Option<u64>,
-    per_cell: bool,
-    index: u64,
-) -> ScenarioSpec {
-    let base = spec.opts.seed;
-    match replica {
-        Some(r) => spec
-            .clone()
-            .with_seed(derive_seed(derive_seed(base, r), index)),
-        None if per_cell => spec.clone().with_seed(derive_seed(base, index)),
-        None => spec.clone(),
-    }
-}
-
-/// One named sweep axis with display labels for its values.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Axis {
-    /// Axis name ("block_kib", "scheme", ...).
-    pub name: String,
-    /// Value labels, in sweep order.
-    pub values: Vec<String>,
-}
-
-/// A cartesian grid of named axes.
-///
-/// # Examples
-///
-/// ```
-/// use a4_experiments::runner::Sweep;
-///
-/// let sweep = Sweep::over("block", [4, 64, 2048]).and("scheme", ["DF", "A4"]);
-/// let cells = sweep.cells();
-/// assert_eq!(cells.len(), 6);
-/// // Row-major: the first axis varies slowest.
-/// assert_eq!(cells[1].labels, vec!["4", "A4"]);
-/// assert_eq!(cells[5].coords, vec![2, 1]);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Sweep {
-    /// The axes, first = slowest-varying.
-    pub axes: Vec<Axis>,
-}
-
-impl Sweep {
-    /// Starts a grid with one axis.
-    pub fn over<V: ToString>(name: impl Into<String>, values: impl IntoIterator<Item = V>) -> Self {
-        Sweep::default().and(name, values)
-    }
-
-    /// Adds a (faster-varying) axis.
-    pub fn and<V: ToString>(
-        mut self,
-        name: impl Into<String>,
-        values: impl IntoIterator<Item = V>,
-    ) -> Self {
-        self.axes.push(Axis {
-            name: name.into(),
-            values: values.into_iter().map(|v| v.to_string()).collect(),
-        });
-        self
-    }
-
-    /// Number of cells (product of axis lengths).
-    pub fn len(&self) -> usize {
-        self.axes.iter().map(|a| a.values.len()).product()
-    }
-
-    /// Whether the grid has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All cells in row-major order (first axis slowest).
-    pub fn cells(&self) -> Vec<Cell> {
-        let n = self.len();
-        let mut cells = Vec::with_capacity(n);
-        for index in 0..n {
-            let mut coords = vec![0usize; self.axes.len()];
-            let mut rem = index;
-            for (ai, axis) in self.axes.iter().enumerate().rev() {
-                coords[ai] = rem % axis.values.len();
-                rem /= axis.values.len();
-            }
-            let labels = self
-                .axes
-                .iter()
-                .zip(&coords)
-                .map(|(a, &c)| a.values[c].clone())
-                .collect();
-            cells.push(Cell {
-                index,
-                coords,
-                labels,
-            });
-        }
-        cells
-    }
 }
 
 /// One named sweep axis carrying *typed* values alongside their display
@@ -181,8 +75,7 @@ impl<T> TypedAxis<T> {
         }
     }
 
-    /// An axis whose labels are the values' `ToString` forms — exactly
-    /// what the label-only [`Sweep::over`] would have produced.
+    /// An axis whose labels are the values' `ToString` forms.
     pub fn labeled(name: impl Into<String>, values: impl IntoIterator<Item = T>) -> Self
     where
         T: ToString,
@@ -205,19 +98,11 @@ impl<T> TypedAxis<T> {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
-
-    fn label_axis(&self) -> Axis {
-        Axis {
-            name: self.name.clone(),
-            values: self.labels.clone(),
-        }
-    }
 }
 
-/// A two-axis cartesian grid over typed values: the typed counterpart of
-/// a two-axis [`Sweep`], guaranteeing cell order (first axis slowest)
-/// matches [`Sweep::cells`] exactly while letting `specs()` be generated
-/// from the values themselves.
+/// A two-axis cartesian grid over typed values, enumerated row-major
+/// (first axis slowest), so a figure's `specs()` are generated from the
+/// values themselves and its table rows from the labels, in one order.
 ///
 /// # Examples
 ///
@@ -230,7 +115,7 @@ impl<T> TypedAxis<T> {
 /// );
 /// let cells: Vec<String> = grid.map(|&b, &s| format!("{b}-{s}"));
 /// assert_eq!(cells, ["4-true", "4-false", "64-true", "64-false"]);
-/// assert_eq!(grid.sweep().cells()[1].labels, vec!["4", "off"]);
+/// assert_eq!(grid.labels()[1], ["4", "off"]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TypedSweep2<A, B> {
@@ -256,13 +141,15 @@ impl<A, B> TypedSweep2<A, B> {
         self.len() == 0
     }
 
-    /// The label-grid [`Sweep`] this typed grid projects to; its
-    /// [`Sweep::cells`] enumerate in exactly the order [`TypedSweep2::map`]
-    /// visits value pairs.
-    pub fn sweep(&self) -> Sweep {
-        Sweep {
-            axes: vec![self.a.label_axis(), self.b.label_axis()],
+    /// Every cell's `[a, b]` label pair, in [`TypedSweep2::map`] order.
+    pub fn labels(&self) -> Vec<[&str; 2]> {
+        let mut out = Vec::with_capacity(self.len());
+        for a in &self.a.labels {
+            for b in &self.b.labels {
+                out.push([a.as_str(), b.as_str()]);
+            }
         }
+        out
     }
 
     /// Maps `f` over all value pairs in row-major cell order (`a`
@@ -275,24 +162,6 @@ impl<A, B> TypedSweep2<A, B> {
             }
         }
         out
-    }
-}
-
-/// One point of a [`Sweep`] grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cell {
-    /// Flat row-major index.
-    pub index: usize,
-    /// Per-axis value indices.
-    pub coords: Vec<usize>,
-    /// Per-axis value labels.
-    pub labels: Vec<String>,
-}
-
-impl Cell {
-    /// The value index along axis `axis`.
-    pub fn coord(&self, axis: usize) -> usize {
-        self.coords[axis]
     }
 }
 
@@ -400,8 +269,6 @@ fn panic_reason(payload: &(dyn Any + Send)) -> String {
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     threads: usize,
-    derive_seeds: bool,
-    replica: Option<u64>,
     cache: Option<ResultCache>,
     ckpt: Option<CkptStore>,
     ckpt_every: u64,
@@ -409,8 +276,7 @@ pub struct SweepRunner {
 }
 
 impl Default for SweepRunner {
-    /// Serial execution (one thread) with the spec's own seeds — the
-    /// exact behaviour of the historical hand-rolled loops.
+    /// Serial execution (one thread).
     fn default() -> Self {
         SweepRunner::serial()
     }
@@ -427,8 +293,6 @@ impl SweepRunner {
     pub fn with_threads(threads: usize) -> Self {
         SweepRunner {
             threads: threads.max(1),
-            derive_seeds: false,
-            replica: None,
             cache: None,
             ckpt: None,
             ckpt_every: 0,
@@ -441,28 +305,8 @@ impl SweepRunner {
         self.threads
     }
 
-    /// Enables per-cell seed derivation: cell `i` runs with
-    /// [`derive_seed`]`(spec_seed, i)` instead of the spec's seed.
-    /// Default off — the paper's protocol runs every cell from the same
-    /// seed.
-    pub fn derive_seeds(mut self, on: bool) -> Self {
-        self.derive_seeds = on;
-        self
-    }
-
-    /// Selects replica `r` of a replicated sweep: cell `i` runs with the
-    /// doubly-derived seed [`derive_seed`]`(`[`derive_seed`]`(spec_seed,
-    /// r), i)` — decorrelated across both replicas and cells, and a pure
-    /// function of `(spec, r, i)`, so every `(cell, replica)` pair keys
-    /// the result cache independently and warm re-runs stay warm.
-    /// Overrides [`SweepRunner::derive_seeds`].
-    pub fn replica(mut self, r: u64) -> Self {
-        self.replica = Some(r);
-        self
-    }
-
     /// Enables content-addressed result caching under `dir`: cells whose
-    /// effective spec (post seed-derivation) hashes to a stored
+    /// spec hashes to a stored
     /// [`a4_core::RunReport`] are loaded instead of simulated, and every
     /// simulated cell is stored. The simulator is deterministic, so
     /// tables built from cached reports are byte-identical to cold runs;
@@ -646,8 +490,7 @@ impl SweepRunner {
     /// Runs one cell under supervision: cache lookup, checkpoint
     /// resume, watchdog, checkpointed execution, store + cleanup.
     fn run_one(&self, i: usize, spec: &ScenarioSpec) -> Result<ScenarioRun, CellFailure> {
-        let spec = cell_spec(spec, self.replica, self.derive_seeds, i as u64);
-        let key = spec_key(&spec);
+        let key = spec_key(spec);
         if let Some(cache) = &self.cache {
             if let Some(report) = cache.load(&key) {
                 if let Some(store) = &self.ckpt {
@@ -659,7 +502,7 @@ impl SweepRunner {
             }
         }
         let (scenario, start_second, samples) =
-            self.resume_or_fresh(&spec, &key).map_err(|e| CellFailure {
+            self.resume_or_fresh(spec, &key).map_err(|e| CellFailure {
                 index: i,
                 kind: FailureKind::Build,
                 reason: e.to_string(),
@@ -746,42 +589,33 @@ impl SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{bake_units, SeedPolicy};
     use crate::spec::RunOpts;
 
     #[test]
-    fn cartesian_cells_are_row_major() {
-        let sweep = Sweep::over("a", ["x", "y"]).and("b", [1, 2, 3]);
-        assert_eq!(sweep.len(), 6);
-        assert!(!sweep.is_empty());
-        let cells = sweep.cells();
-        assert_eq!(cells[0].labels, vec!["x", "1"]);
-        assert_eq!(cells[2].labels, vec!["x", "3"]);
-        assert_eq!(cells[3].labels, vec!["y", "1"]);
-        assert_eq!(cells[5].coords, vec![1, 2]);
-        assert_eq!(cells[4].coord(1), 1);
-    }
-
-    #[test]
     fn typed_grids_enumerate_in_label_grid_order() {
-        // The satellite guarantee: a typed grid and the label-only Sweep
-        // built from the same axes produce identical cell orders.
+        // The value grid and the label grid enumerate in one order:
+        // first axis slowest.
         let typed = TypedSweep2::new(
             TypedAxis::labeled("a", ["x", "y"]),
             TypedAxis::labeled("b", [1, 2, 3]),
         );
-        let label_sweep = Sweep::over("a", ["x", "y"]).and("b", [1, 2, 3]);
-        assert_eq!(typed.sweep(), label_sweep);
-        assert_eq!(typed.len(), label_sweep.len());
-        let typed_cells: Vec<Vec<String>> = typed.map(|a, b| vec![a.to_string(), b.to_string()]);
-        let label_cells: Vec<Vec<String>> =
-            label_sweep.cells().into_iter().map(|c| c.labels).collect();
+        assert_eq!(typed.len(), 6);
+        let typed_cells: Vec<[String; 2]> = typed.map(|a, b| [a.to_string(), b.to_string()]);
+        let label_cells: Vec<[String; 2]> = typed
+            .labels()
+            .into_iter()
+            .map(|l| l.map(str::to_string))
+            .collect();
         assert_eq!(typed_cells, label_cells);
+        assert_eq!(typed.labels()[2], ["x", "3"]);
+        assert_eq!(typed.labels()[3], ["y", "1"]);
         // Custom labels decouple display from value without reordering.
         let custom = TypedSweep2::new(
             TypedAxis::new("a", [(10u64, "ten"), (20, "twenty")]),
             TypedAxis::labeled("b", [true, false]),
         );
-        assert_eq!(custom.sweep().axes[0].values, vec!["ten", "twenty"]);
+        assert_eq!(custom.labels()[2], ["twenty", "true"]);
         assert_eq!(
             custom.map(|&a, &b| (a, b)),
             vec![(10, true), (10, false), (20, true), (20, false)]
@@ -872,9 +706,11 @@ mod tests {
             &[0],
             a4_model::Priority::Low,
         );
-        let specs = [spec];
-        let ipc = |r: u64| {
-            let runs = SweepRunner::serial().replica(r).run_specs(&specs).unwrap();
+        let units = bake_units(&[spec], 2, SeedPolicy::SpecSeed);
+        let ipc = |r: usize| {
+            let runs = SweepRunner::serial()
+                .run_specs(std::slice::from_ref(&units[r].spec))
+                .unwrap();
             runs[0].ipc("xmem3").to_bits()
         };
         // Distinct replicas simulate distinct runs; the same replica is

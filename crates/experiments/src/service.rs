@@ -3,13 +3,16 @@
 //! A [`SweepJob`] describes one figure sweep — figure id, run protocol,
 //! replica count and seed policy — as serde-round-trippable data, and
 //! expands to a flat list of [`WorkUnit`]s whose specs already carry
-//! their *effective* seeds. Because the unit spec is the exact spec a
-//! direct (unsharded) run would hash, any process can execute any slice
-//! of the units against the shared content-addressed store
-//! ([`crate::cache::ResultCache`]) and the results merge: rendering is a
-//! pure function of the store ([`SweepJob::render_from_store`]), so a
-//! sweep executed as one process, N `--shard i/N` processes, or a fleet
-//! of queue workers ([`crate::queue`]) produces byte-identical tables.
+//! their *effective* seeds. [`bake_units`] is the one place seeds are
+//! derived: figure jobs and `a4-repro --spec` files both go through it,
+//! and the [`SweepRunner`] runs exactly the specs it is given. Because
+//! the unit spec is the exact spec a direct (unsharded) run would hash,
+//! any process can execute any slice of the units against the shared
+//! content-addressed store ([`crate::cache::ResultCache`]) and the
+//! results merge: rendering is a pure function of the store
+//! ([`SweepJob::render_from_store`]), so a sweep executed as one
+//! process, N `--shard i/N` processes, or a fleet of queue workers
+//! ([`crate::queue`]) produces byte-identical tables.
 //!
 //! The figure registry ([`figures`]) pairs each figure's `specs(opts)`
 //! grid with a pure `render(&[ScenarioRun]) -> Vec<Table>` function —
@@ -19,7 +22,7 @@
 use crate::cache::{spec_key, ResultCache};
 use crate::fault::{Backoff, FabricHealth};
 use crate::queue::{JobQueue, QueueError};
-use crate::runner::{cell_spec, CellFailure, SweepRunner};
+use crate::runner::{derive_seed, CellFailure, SweepRunner};
 use crate::spec::{RunOpts, ScenarioRun, ScenarioSpec};
 use crate::table::{Table, TableStats};
 use crate::{fig11, fig12, fig13, fig14, fig15, fig3, fig4, fig5, fig6, fig7, fig8, fig_numa};
@@ -185,7 +188,7 @@ pub fn figures() -> Vec<FigureDef> {
                 s
             },
             render: |runs| {
-                let n = fig_numa::grid().sweep().cells().len();
+                let n = fig_numa::grid().len();
                 vec![
                     fig_numa::table(&runs[..n]),
                     fig_numa::ramp_table(&runs[n..]),
@@ -200,17 +203,14 @@ pub fn figure(name: &str) -> Option<FigureDef> {
     figures().into_iter().find(|f| f.name == name)
 }
 
-/// How a single-replica job seeds its cells. (Replicated jobs always
-/// double-derive per `(replica, cell)`, matching
-/// [`SweepRunner::replica`].)
+/// How a single-replica sweep seeds its cells (see [`bake_units`];
+/// replicated sweeps always double-derive per `(replica, cell)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SeedPolicy {
     /// Every cell runs with its spec's own seed — the paper protocol
     /// and the historical CLI default.
     SpecSeed,
-    /// Cell `i` runs with
-    /// [`derive_seed`](crate::runner::derive_seed)`(spec_seed, i)`, matching
-    /// [`SweepRunner::derive_seeds`].
+    /// Cell `i` runs with [`derive_seed`]`(spec_seed, i)`.
     PerCell,
 }
 
@@ -296,15 +296,15 @@ pub struct SweepJob {
     pub seed_policy: SeedPolicy,
 }
 
-/// One executable unit of a [`SweepJob`]: a `(replica, cell)` pair with
-/// its effective, seed-baked spec.
+/// One executable unit of a sweep: a `(replica, cell)` pair with its
+/// effective, seed-baked spec (see [`bake_units`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkUnit {
     /// Global unit index (replica-major), the [`Shard::owns`] input.
     pub index: u64,
     /// Replica this unit belongs to.
     pub replica: u64,
-    /// Cell index within the figure's spec grid.
+    /// Cell index within the sweep's spec list.
     pub cell: usize,
     /// The effective spec: seeds are already derived, so
     /// [`spec_key`]`(&unit.spec)` is the store key that sharded and
@@ -454,35 +454,20 @@ impl SweepJob {
         figure(&self.figure).ok_or_else(|| ServiceError::UnknownFigure(self.figure.clone()))
     }
 
-    /// The effective spec of `(replica r, cell i)`: replicated jobs
-    /// double-derive exactly like [`SweepRunner::replica`]; otherwise
-    /// the [`SeedPolicy`] applies. Cell indices are figure-global (the
+    /// Every work unit of the job, replica-major, with effective specs
+    /// baked by [`bake_units`]. Cell indices are figure-global (the
     /// concatenated [`FigureDef::specs`] order).
-    fn bake(&self, spec: &ScenarioSpec, r: u64, i: u64) -> ScenarioSpec {
-        let replica = (self.replicas > 1).then_some(r);
-        cell_spec(spec, replica, self.seed_policy == SeedPolicy::PerCell, i)
-    }
-
-    /// Every work unit of the job, replica-major, with effective specs.
     ///
     /// # Errors
     ///
     /// [`ServiceError::UnknownFigure`].
     pub fn units(&self) -> Result<Vec<WorkUnit>, ServiceError> {
         let def = self.def()?;
-        let specs = (def.specs)(&self.opts);
-        let mut units = Vec::with_capacity(specs.len() * self.replicas as usize);
-        for r in 0..self.replicas {
-            for (i, spec) in specs.iter().enumerate() {
-                units.push(WorkUnit {
-                    index: units.len() as u64,
-                    replica: r,
-                    cell: i,
-                    spec: self.bake(spec, r, i as u64),
-                });
-            }
-        }
-        Ok(units)
+        Ok(bake_units(
+            &(def.specs)(&self.opts),
+            self.replicas,
+            self.seed_policy,
+        ))
     }
 
     /// The units `shard` owns.
@@ -501,9 +486,7 @@ impl SweepJob {
     /// Executes `shard`'s units against the runner's store and returns
     /// how many units it owns. Units already in the store are loaded,
     /// not re-simulated, so re-executing a shard (a restarted worker, a
-    /// re-claimed lease) is idempotent. The runner must be *plain* — no
-    /// [`SweepRunner::replica`]/[`SweepRunner::derive_seeds`] — because
-    /// unit specs already carry their effective seeds.
+    /// re-claimed lease) is idempotent.
     ///
     /// # Errors
     ///
@@ -564,7 +547,15 @@ impl SweepJob {
     ///
     /// [`ServiceError::MissingCells`] if any unit has no store entry.
     pub fn load_runs(&self, store: &ResultCache) -> Result<Vec<Vec<ScenarioRun>>, ServiceError> {
-        self.load_runs_inner(store, false).map(|(runs, _, _)| runs)
+        let (runs, missing) = self.load(store)?;
+        if missing.is_empty() {
+            return Ok(runs);
+        }
+        Err(ServiceError::MissingCells {
+            figure: self.figure.clone(),
+            total: runs.iter().map(Vec::len).sum(),
+            missing,
+        })
     }
 
     /// [`SweepJob::load_runs`], but missing cells become
@@ -579,51 +570,31 @@ impl SweepJob {
         &self,
         store: &ResultCache,
     ) -> Result<(Vec<Vec<ScenarioRun>>, usize, usize), ServiceError> {
-        self.load_runs_inner(store, true)
+        let (runs, missing) = self.load(store)?;
+        let total = runs.iter().map(Vec::len).sum();
+        Ok((runs, missing.len(), total))
     }
 
-    fn load_runs_inner(
+    /// The one loader: every unit's run, grouped per replica, with a
+    /// [`ScenarioSpec::missing_run`] placeholder for each unit the store
+    /// lacks, plus the missing units' spec names.
+    fn load(
         &self,
         store: &ResultCache,
-        best_effort: bool,
-    ) -> Result<(Vec<Vec<ScenarioRun>>, usize, usize), ServiceError> {
-        let units = self.units()?;
-        let total = units.len();
-        let cells = total / self.replicas as usize;
-        let mut per_replica: Vec<Vec<Option<ScenarioRun>>> = (0..self.replicas)
-            .map(|_| (0..cells).map(|_| None).collect())
-            .collect();
+    ) -> Result<(Vec<Vec<ScenarioRun>>, Vec<String>), ServiceError> {
         let mut missing = Vec::new();
-        for unit in units {
-            let run = match store.load(&spec_key(&unit.spec)) {
+        let runs = self
+            .units()?
+            .into_iter()
+            .map(|unit| match store.load(&spec_key(&unit.spec)) {
                 Some(report) => unit.spec.run_from_report(report),
                 None => {
                     missing.push(unit.spec.name.clone());
-                    if !best_effort {
-                        continue;
-                    }
                     unit.spec.missing_run()
                 }
-            };
-            per_replica[unit.replica as usize][unit.cell] = Some(run);
-        }
-        if !missing.is_empty() && !best_effort {
-            return Err(ServiceError::MissingCells {
-                figure: self.figure.clone(),
-                total,
-                missing,
-            });
-        }
-        let runs = per_replica
-            .into_iter()
-            .map(|runs| {
-                runs.into_iter()
-                    // a4-lint: allow(panic-unwrap) -- unreachable: strict mode early-returned MissingCells on any None; best-effort filled every None with a placeholder
-                    .map(|r| r.expect("no cell missing"))
-                    .collect()
             })
             .collect();
-        Ok((runs, missing.len(), total))
+        Ok((per_replica(runs, self.replicas), missing))
     }
 
     /// Renders per-replica runs into the job's tables: one table set
@@ -645,18 +616,7 @@ impl SweepJob {
             self.replicas as usize,
             "one run set per replica"
         );
-        if self.replicas > 1 {
-            let reps: Vec<Vec<Table>> = per_replica.iter().map(|runs| (def.render)(runs)).collect();
-            let stats = (0..reps[0].len())
-                .map(|ti| {
-                    let group: Vec<Table> = reps.iter().map(|r| r[ti].clone()).collect();
-                    TableStats::from_replicas(&group)
-                })
-                .collect();
-            Ok(JobTables::Replicated(stats))
-        } else {
-            Ok(JobTables::Single((def.render)(&per_replica[0])))
-        }
+        Ok(render_replicas(per_replica, def.render))
     }
 
     /// Renders the job's tables purely from the store — the merge pass
@@ -706,33 +666,115 @@ impl SweepJob {
 
     /// Executes the whole job on `runner` (store-backed cells load
     /// instead of simulating) and renders its tables — the direct,
-    /// single-process path. The units of every replica go through the
-    /// runner's supervised path in one pooled pass. The runner must be
-    /// plain (see [`SweepJob::execute_shard`]).
+    /// single-process path, through [`run_replicated`].
     ///
     /// # Errors
     ///
     /// [`ServiceError::CellsFailed`] when any cell fails, with
     /// job-global unit indices.
     pub fn execute(&self, runner: &SweepRunner) -> Result<JobTables, ServiceError> {
-        let specs: Vec<ScenarioSpec> = self.units()?.into_iter().map(|u| u.spec).collect();
-        let total = specs.len();
-        let runs = runner
-            .run_specs_robust(&specs)
-            .into_runs()
-            .map_err(|failures| ServiceError::CellsFailed {
+        let def = self.def()?;
+        let specs = (def.specs)(&self.opts);
+        run_replicated(runner, &specs, self.replicas, self.seed_policy, def.render).map_err(
+            |failures| ServiceError::CellsFailed {
                 figure: self.figure.clone(),
                 failures,
-                total,
-            })?;
-        // Units are replica-major: regroup the flat runs per replica.
-        let mut runs = runs.into_iter();
-        let cells = total / self.replicas as usize;
-        let per_replica: Vec<Vec<ScenarioRun>> = (0..self.replicas)
-            .map(|_| runs.by_ref().take(cells).collect())
-            .collect();
-        self.render(&per_replica)
+                total: specs.len() * self.replicas as usize,
+            },
+        )
     }
+}
+
+/// Bakes `specs` into the work units of `replicas` replicas (at least
+/// 1), replica-major: the one place cell seeds are derived.
+///
+/// * `replicas > 1`: unit `(r, i)` runs at
+///   [`derive_seed`]`(`[`derive_seed`]`(spec_seed, r), i)`, decorrelated
+///   across both replicas and cells;
+/// * one replica: [`SeedPolicy::SpecSeed`] keeps each spec's own seed,
+///   [`SeedPolicy::PerCell`] runs cell `i` at
+///   [`derive_seed`]`(spec_seed, i)`.
+///
+/// Every seed is a pure function of `(spec, r, i)`, so each unit keys
+/// the store on its own and the same specs always bake to the same
+/// keys, whether they came from the figure registry or a spec file.
+pub fn bake_units(specs: &[ScenarioSpec], replicas: u64, policy: SeedPolicy) -> Vec<WorkUnit> {
+    let replicas = replicas.max(1);
+    let mut units = Vec::with_capacity(specs.len() * replicas as usize);
+    for r in 0..replicas {
+        for (i, spec) in specs.iter().enumerate() {
+            let (base, cell) = (spec.opts.seed, i as u64);
+            let spec = match (replicas > 1, policy) {
+                (true, _) => spec
+                    .clone()
+                    .with_seed(derive_seed(derive_seed(base, r), cell)),
+                (false, SeedPolicy::PerCell) => spec.clone().with_seed(derive_seed(base, cell)),
+                (false, SeedPolicy::SpecSeed) => spec.clone(),
+            };
+            units.push(WorkUnit {
+                index: units.len() as u64,
+                replica: r,
+                cell: i,
+                spec,
+            });
+        }
+    }
+    units
+}
+
+/// Splits replica-major runs (one per [`bake_units`] unit, in unit
+/// order) into one run set per replica.
+fn per_replica(runs: Vec<ScenarioRun>, replicas: u64) -> Vec<Vec<ScenarioRun>> {
+    let replicas = replicas.max(1) as usize;
+    let cells = runs.len() / replicas;
+    let mut runs = runs.into_iter();
+    (0..replicas)
+        .map(|_| runs.by_ref().take(cells).collect())
+        .collect()
+}
+
+/// Renders each replica's runs with `render`: the plain tables for a
+/// single replica, cell-wise mean ± stddev over several.
+fn render_replicas(
+    per_replica: &[Vec<ScenarioRun>],
+    render: impl Fn(&[ScenarioRun]) -> Vec<Table>,
+) -> JobTables {
+    if per_replica.len() > 1 {
+        let reps: Vec<Vec<Table>> = per_replica.iter().map(|runs| render(runs)).collect();
+        let stats = (0..reps[0].len())
+            .map(|ti| {
+                let group: Vec<Table> = reps.iter().map(|r| r[ti].clone()).collect();
+                TableStats::from_replicas(&group)
+            })
+            .collect();
+        JobTables::Replicated(stats)
+    } else {
+        JobTables::Single(render(&per_replica[0]))
+    }
+}
+
+/// Bakes `specs` at `replicas` replicas ([`bake_units`]), runs every
+/// unit through `runner`'s supervised path in one pooled pass, and
+/// renders each replica's runs with `render` (mean ± stddev when
+/// replicated). Figure jobs ([`SweepJob::execute`]) and spec files
+/// (`a4-repro --spec`) both run this way.
+///
+/// # Errors
+///
+/// The failed cells, by unit index, when any cell fails.
+pub fn run_replicated(
+    runner: &SweepRunner,
+    specs: &[ScenarioSpec],
+    replicas: u64,
+    policy: SeedPolicy,
+    render: impl Fn(&[ScenarioRun]) -> Vec<Table>,
+) -> Result<JobTables, Vec<CellFailure>> {
+    let specs: Vec<ScenarioSpec> = bake_units(specs, replicas, policy)
+        .into_iter()
+        .map(|u| u.spec)
+        .collect();
+    let runs = runner.run_specs_robust(&specs).into_runs()?;
+    Ok(render_replicas(&per_replica(runs, replicas), render))
 }
 
 /// A rendered job: plain tables, or mean ± stddev for replicated jobs.
@@ -996,7 +1038,7 @@ mod tests {
     }
 
     #[test]
-    fn replicated_units_derive_like_the_runner() {
+    fn replicated_units_double_derive_seeds() {
         let job = SweepJob::new("fig4", quick(), 2, SeedPolicy::PerCell).unwrap();
         let units = job.units().unwrap();
         let specs = (job.def().unwrap().specs)(&quick());

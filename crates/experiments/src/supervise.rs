@@ -20,8 +20,9 @@
 //! # Integrity and failure model
 //!
 //! Checkpoints follow the [`crate::cache`] store discipline: entries are
-//! checksummed envelopes `{"payload_fnv": <`content key` of the ckpt
-//! JSON>, "ckpt": <ckpt>}` written via temp-file + atomic rename through
+//! the same checksummed envelopes, `{"payload_fnv": <`content key` of
+//! the ckpt JSON>, "ckpt": <ckpt>}`, written via temp-file + atomic
+//! rename through
 //! the [`Fs`] seam, with [`Backoff::fabric`] retries per filesystem
 //! step. A checkpoint is an *optimization*, never truth: a missing,
 //! torn, bit-flipped, version-skewed or key-mismatched entry is treated
@@ -30,7 +31,7 @@
 //! degrade to "no checkpoint" visibly (counted, warned once per
 //! process); the cell still completes.
 
-use crate::cache::content_key;
+use crate::cache::{open, seal};
 use crate::fault::{Backoff, Fs, RealFs};
 use a4_core::{LlcPolicy, PolicyState, RunSupervisor, SupervisorCtx};
 use a4_sim::{MonitorSample, SystemState};
@@ -67,16 +68,6 @@ pub struct CellCkpt {
     pub system: SystemState,
     /// The LLC policy's mutable state.
     pub policy: PolicyState,
-}
-
-/// The envelope persisted on disk: the checkpoint wrapped with its own
-/// checksum, mirroring the [`crate::cache::ResultCache`] entry format.
-#[derive(Debug, Deserialize)]
-struct StoredCkpt {
-    /// [`content_key`] of the serialized `ckpt` field.
-    payload_fnv: String,
-    /// The checkpoint itself.
-    ckpt: CellCkpt,
 }
 
 /// An on-disk store of [`CellCkpt`]s keyed by spec key, conventionally
@@ -167,14 +158,10 @@ impl CkptStore {
     /// per-writer temp file first and is moved into place atomically;
     /// each filesystem step retries with [`Backoff::fabric`] on its own.
     pub fn save(&self, ckpt: &CellCkpt) {
-        let json = match serde_json::to_string(ckpt) {
-            Ok(json) => json,
+        let envelope = match serde_json::to_string(ckpt) {
+            Ok(json) => seal("ckpt", &json),
             Err(_) => return,
         };
-        let envelope = format!(
-            "{{\"payload_fnv\":\"{}\",\"ckpt\":{json}}}",
-            content_key(&json)
-        );
         let seq = CKPT_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = self.dir.join(format!(
             ".{}.{}.{seq}.tmp",
@@ -218,18 +205,10 @@ impl CkptStore {
     /// state is never served.
     pub fn load(&self, key: &str) -> Option<CellCkpt> {
         let path = self.path_of(key);
-        let json = self.fs.read_to_string(&path).ok()?;
-        let intact = (|| {
-            let entry: StoredCkpt = serde_json::from_str(&json).ok()?;
-            let payload = serde_json::to_string(&entry.ckpt).ok()?;
-            (content_key(&payload) == entry.payload_fnv
-                && entry.ckpt.version == CELL_CKPT_VERSION
-                && entry.ckpt.spec_key == key)
-                .then_some(entry.ckpt)
-        })();
-        match intact {
-            Some(ckpt) => Some(ckpt),
-            None => {
+        let sealed = self.fs.read_to_string(&path).ok()?;
+        match open::<CellCkpt>("ckpt", &sealed) {
+            Ok(ckpt) if ckpt.version == CELL_CKPT_VERSION && ckpt.spec_key == key => Some(ckpt),
+            _ => {
                 self.discard(key);
                 None
             }
@@ -416,6 +395,24 @@ mod tests {
         // Either the flip broke the JSON (unparseable → stale) or it
         // parsed with a mismatched checksum (→ stale); both must miss.
         assert!(loaded.is_none(), "never served");
+        assert_eq!(store.stale(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reformatted_entries_are_stale_not_served() {
+        // Whitespace inserted into the payload parses to the same
+        // checkpoint, but the checksum covers the stored bytes.
+        let dir = tmp_dir("reformat");
+        let store = CkptStore::new(&dir);
+        let key = "9".repeat(32);
+        store.save(&quick_ckpt(&key));
+        let path = dir.join(format!("{key}.ckpt.json"));
+        let stored = std::fs::read_to_string(&path).unwrap();
+        let reformatted = stored.replacen("\"ckpt\":{", "\"ckpt\":{ ", 1);
+        assert_ne!(reformatted, stored);
+        std::fs::write(&path, reformatted).unwrap();
+        assert!(store.load(&key).is_none(), "never served");
         assert_eq!(store.stale(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }

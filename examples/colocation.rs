@@ -10,9 +10,9 @@
 use a4::experiments::{fig13, RunOpts, SweepRunner};
 
 fn main() {
-    let opts = RunOpts::controller();
-    let runner = SweepRunner::with_threads(4);
-    let table = fig13::run_with(&opts, true, &runner);
-    println!("{table}");
+    let runs = SweepRunner::with_threads(4)
+        .run_specs(&fig13::specs(&RunOpts::controller(), true))
+        .expect("static fig13 layout");
+    println!("{}", fig13::table(true, &runs));
     println!("(perf columns are relative to the Default model; >1 is better)");
 }

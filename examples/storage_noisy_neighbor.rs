@@ -3,19 +3,16 @@
 //! per-port DCA knob ([SSD-DCA off]) remove the interference without
 //! costing the tenant anything — the paper's observation O4 / Fig. 8a.
 //!
-//! The whole block-size × DCA grid is described declaratively with
-//! `Sweep` + `ScenarioSpec` and executed in parallel.
+//! The whole block-size × DCA grid is described declaratively with a
+//! `TypedSweep2` of `ScenarioSpec`s and executed in parallel.
 //!
 //! ```text
 //! cargo run --release --example storage_noisy_neighbor
 //! ```
 
-use a4::experiments::{RunOpts, ScenarioSpec, Sweep, SweepRunner, WorkloadSpec};
+use a4::experiments::{RunOpts, ScenarioSpec, SweepRunner, TypedAxis, TypedSweep2, WorkloadSpec};
 use a4::model::{Priority, WayMask};
 use a4::sim::LatencyKind;
-
-const BLOCKS: [u64; 4] = [64, 128, 256, 512];
-const DCA: [bool; 2] = [true, false];
 
 fn spec(block_kib: u64, ssd_dca: bool) -> ScenarioSpec {
     ScenarioSpec::new(
@@ -56,26 +53,20 @@ fn spec(block_kib: u64, ssd_dca: bool) -> ScenarioSpec {
 }
 
 fn main() {
-    let sweep = Sweep::over("block_kib", BLOCKS).and("ssd_dca", ["on ", "off"]);
-    let specs: Vec<ScenarioSpec> = sweep
-        .cells()
-        .iter()
-        .map(|cell| spec(BLOCKS[cell.coord(0)], DCA[cell.coord(1)]))
-        .collect();
+    let grid = TypedSweep2::new(
+        TypedAxis::labeled("block_kib", [64u64, 128, 256, 512]),
+        TypedAxis::new("ssd_dca", [(true, "on "), (false, "off")]),
+    );
     let runs = SweepRunner::with_threads(4)
-        .run_specs(&specs)
+        .run_specs(&grid.map(|&kib, &dca| spec(kib, dca)))
         .expect("static layout");
 
     println!("block    SSD-DCA   net-avg(us)  net-p99(us)  storage(GB/s)");
-    for (cell, run) in sweep.cells().iter().zip(&runs) {
-        let kib = BLOCKS[cell.coord(0)];
+    for ([kib, dca], run) in grid.labels().into_iter().zip(&runs) {
         let al = run.mean_latency_us("dpdk", LatencyKind::NetTotal);
         let tl = run.p99_latency_us("dpdk", LatencyKind::NetTotal);
         let tp = run.io_gbps("fio");
-        println!(
-            "{kib:>4}KB    {}     {al:>10.1} {tl:>12.1} {tp:>13.2}",
-            cell.labels[1]
-        );
+        println!("{kib:>4}KB    {dca}     {al:>10.1} {tl:>12.1} {tp:>13.2}");
     }
     println!("\n([SSD-DCA off] = NoSnoopOpWrEn set, Use_Allocating_Flow_Wr cleared");
     println!(" in the SSD port's perfctrlsts_0 — the NIC keeps its DDIO fast path.)");

@@ -7,7 +7,7 @@
 //! code (`a4-repro fig12 fig13 --quick --json`); these tests regenerate
 //! them with the current code and compare the serialized bytes.
 
-use a4::experiments::{fig12, fig13, RunOpts, SweepRunner};
+use a4::experiments::{JobTables, RunOpts, SeedPolicy, SweepJob, SweepRunner, Table};
 
 fn quick_ctl_opts() -> RunOpts {
     // Mirrors a4-repro's --quick protocol for controller figures.
@@ -18,7 +18,16 @@ fn quick_ctl_opts() -> RunOpts {
     }
 }
 
-fn assert_matches_golden(table: &a4::experiments::Table, golden_file: &str) {
+/// Runs a whole figure as a job on two threads.
+fn figure_tables(figure: &str) -> Vec<Table> {
+    let job = SweepJob::new(figure, quick_ctl_opts(), 1, SeedPolicy::SpecSeed).unwrap();
+    match job.execute(&SweepRunner::with_threads(2)).unwrap() {
+        JobTables::Single(tables) => tables,
+        JobTables::Replicated(_) => unreachable!("one replica"),
+    }
+}
+
+fn assert_matches_golden(table: &Table, golden_file: &str) {
     let json = serde_json::to_string_pretty(table).expect("tables serialize");
     let path = format!("{}/tests/golden/{golden_file}", env!("CARGO_MANIFEST_DIR"));
     let golden = std::fs::read_to_string(&path)
@@ -34,16 +43,13 @@ fn assert_matches_golden(table: &a4::experiments::Table, golden_file: &str) {
 
 #[test]
 fn fig12_quick_table_is_byte_identical_to_pre_refactor() {
-    let table = fig12::run_with(&quick_ctl_opts(), &SweepRunner::with_threads(2));
-    assert_matches_golden(&table, "fig12.json");
+    let tables = figure_tables("fig12");
+    assert_matches_golden(&tables[0], "fig12.json");
 }
 
 #[test]
 fn fig13_quick_tables_are_byte_identical_to_pre_refactor() {
-    let opts = quick_ctl_opts();
-    let runner = SweepRunner::with_threads(2);
-    let hp = fig13::run_with(&opts, true, &runner);
-    let lp = fig13::run_with(&opts, false, &runner);
-    assert_matches_golden(&hp, "fig13a.json");
-    assert_matches_golden(&lp, "fig13b.json");
+    let tables = figure_tables("fig13");
+    assert_matches_golden(&tables[0], "fig13a.json");
+    assert_matches_golden(&tables[1], "fig13b.json");
 }

@@ -7,8 +7,8 @@
 //! * editing one cell's spec invalidates only that cell.
 
 use a4::experiments::{
-    spec_key, ResultCache, RunOpts, ScenarioSpec, SeedPolicy, Shard, SweepJob, SweepRunner,
-    WorkloadSpec,
+    bake_units, spec_key, ResultCache, RunOpts, ScenarioSpec, SeedPolicy, Shard, SweepJob,
+    SweepRunner, WorkloadSpec,
 };
 use a4::model::Priority;
 use std::path::PathBuf;
@@ -157,7 +157,7 @@ fn editing_one_cell_invalidates_only_itself() {
 
 #[test]
 fn replicas_key_the_cache_independently() {
-    // `--replicas N` reruns each cell at doubly-derived seeds; every
+    // `--replicas N` bakes each cell at doubly-derived seeds; every
     // (cell, replica) pair must cache under its own key (the effective
     // post-derivation spec), reproduce bit-identically warm, and never
     // collide with the plain or per-cell-derived runs. X-Mem 3 consumes
@@ -174,11 +174,16 @@ fn replicas_key_the_cache_independently() {
             )
         })
         .collect();
+    let units = bake_units(&specs, 2, SeedPolicy::SpecSeed);
     let run_replica = |r: u64| -> Vec<(u64, u64, u64, u64)> {
+        let replica: Vec<ScenarioSpec> = units
+            .iter()
+            .filter(|u| u.replica == r)
+            .map(|u| u.spec.clone())
+            .collect();
         SweepRunner::serial()
             .with_cache_dir(&dir)
-            .replica(r)
-            .run_specs(&specs)
+            .run_specs(&replica)
             .unwrap()
             .iter()
             .map(fingerprint)
@@ -275,20 +280,21 @@ fn derived_seeds_key_the_effective_spec() {
             )
         })
         .collect();
-    let plain = SweepRunner::serial().with_cache_dir(&dir);
-    let derived = SweepRunner::serial()
-        .with_cache_dir(&dir)
-        .derive_seeds(true);
+    let runner = SweepRunner::serial().with_cache_dir(&dir);
+    let derived: Vec<ScenarioSpec> = bake_units(&specs, 1, SeedPolicy::PerCell)
+        .into_iter()
+        .map(|u| u.spec)
+        .collect();
 
-    let a: Vec<_> = plain
+    let a: Vec<_> = runner
         .run_specs(&specs)
         .unwrap()
         .iter()
         .map(fingerprint)
         .collect();
     let entries_after_plain = std::fs::read_dir(&dir).unwrap().count();
-    let b: Vec<_> = derived
-        .run_specs(&specs)
+    let b: Vec<_> = runner
+        .run_specs(&derived)
         .unwrap()
         .iter()
         .map(fingerprint)
@@ -299,8 +305,8 @@ fn derived_seeds_key_the_effective_spec() {
     assert!(entries_after_derived > entries_after_plain);
     assert_ne!(a, b, "derived seeds simulate different runs");
     // And both remain cached + reproducible.
-    let b2: Vec<_> = derived
-        .run_specs(&specs)
+    let b2: Vec<_> = runner
+        .run_specs(&derived)
         .unwrap()
         .iter()
         .map(fingerprint)

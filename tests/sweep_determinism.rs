@@ -8,7 +8,7 @@
 
 use a4::experiments::service::ServiceError;
 use a4::experiments::{
-    fig11, fig12, fig13, JobQueue, JobTables, ResultCache, RunOpts, SeedPolicy, Shard, SweepJob,
+    fig11, fig13, JobQueue, JobTables, ResultCache, RunOpts, SeedPolicy, Shard, SweepJob,
     SweepRunner, Task,
 };
 use std::path::PathBuf;
@@ -45,22 +45,20 @@ fn assert_rendered_identical(a: &JobTables, b: &JobTables) {
 
 #[test]
 fn fig12_tables_are_identical_across_thread_counts() {
-    let opts = quick();
-    let serial = fig12::run_with(&opts, &SweepRunner::serial());
-    let parallel = fig12::run_with(&opts, &SweepRunner::with_threads(4));
+    let job = SweepJob::new("fig12", quick(), 1, SeedPolicy::SpecSeed).unwrap();
+    let serial = job.execute(&SweepRunner::serial()).unwrap();
+    let parallel = job.execute(&SweepRunner::with_threads(4)).unwrap();
     // Byte-identical in both renderings.
-    assert_eq!(serial.to_string(), parallel.to_string());
-    assert_eq!(
-        serde_json::to_string(&serial).unwrap(),
-        serde_json::to_string(&parallel).unwrap()
-    );
+    assert_rendered_identical(&serial, &parallel);
 }
 
 #[test]
 fn fig13_tables_are_identical_across_thread_counts() {
-    let opts = quick();
-    let serial = fig13::run_with(&opts, true, &SweepRunner::serial());
-    let parallel = fig13::run_with(&opts, true, &SweepRunner::with_threads(4));
+    // One panel: the HPW-heavy mix's six scheme cells.
+    let specs = fig13::specs(&quick(), true);
+    let panel = |runner: SweepRunner| fig13::table(true, &runner.run_specs(&specs).unwrap());
+    let serial = panel(SweepRunner::serial());
+    let parallel = panel(SweepRunner::with_threads(4));
     assert_eq!(serial.to_string(), parallel.to_string());
     assert_eq!(
         serde_json::to_string(&serial).unwrap(),
