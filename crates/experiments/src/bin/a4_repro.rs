@@ -84,6 +84,9 @@
 //! --list:           list figures and their cell counts, then exit
 //! ```
 //!
+//! Any other `--flag` is a usage error: the run exits with status 2
+//! and names the flag before simulating anything.
+//!
 //! Setting `A4_FAULTS=<seed>` routes every store and queue filesystem
 //! operation through a seeded deterministic fault injector
 //! ([`a4_experiments::FaultFs`]: ENOSPC/EIO writes, refused renames,
@@ -119,7 +122,42 @@ fn require(cond: bool, msg: impl std::fmt::Display) {
     }
 }
 
+/// Every flag the CLI accepts, and whether it takes a value: the one
+/// vocabulary that the unknown-flag check, the positional scan and the
+/// flag readers all use.
+const FLAGS: [(&str, bool); 22] = [
+    ("--quick", false),
+    ("--list", false),
+    ("--timing", false),
+    ("--no-cache", false),
+    ("--cache-gc", false),
+    ("--merge-only", false),
+    ("--best-effort", false),
+    ("--enqueue", false),
+    ("--worker", false),
+    ("--serve", false),
+    ("--json", true),
+    ("--dump-specs", true),
+    ("--spec", true),
+    ("--threads", true),
+    ("--cache-dir", true),
+    ("--replicas", true),
+    ("--max-age-days", true),
+    ("--shard", true),
+    ("--shards", true),
+    ("--stale-secs", true),
+    ("--ckpt-every", true),
+    ("--max-attempts", true),
+];
+
+/// Whether the switch `flag` (a value-less [`FLAGS`] entry) is set.
+fn switch(args: &[String], flag: &str) -> bool {
+    debug_assert!(FLAGS.contains(&(flag, false)), "{flag} is not a switch");
+    args.iter().any(|a| a == flag)
+}
+
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    debug_assert!(FLAGS.contains(&(flag, true)), "{flag} takes no value");
     let i = args.iter().position(|a| a == flag)?;
     match args.get(i + 1) {
         Some(v) if !v.starts_with("--") => Some(v.clone()),
@@ -233,38 +271,31 @@ fn run_timing(quick: bool, json_dir: Option<&str>) {
 /// Positional (non-flag) arguments: everything that is not a `--flag`
 /// or the value slot of a value-taking flag, so `--json fig-tables/`
 /// never turns its directory into a figure filter.
-fn positional_args(args: &[String]) -> Vec<&str> {
-    const VALUE_FLAGS: [&str; 12] = [
-        "--json",
-        "--dump-specs",
-        "--spec",
-        "--threads",
-        "--cache-dir",
-        "--replicas",
-        "--max-age-days",
-        "--shard",
-        "--shards",
-        "--stale-secs",
-        "--ckpt-every",
-        "--max-attempts",
-    ];
+///
+/// # Errors
+///
+/// Names the first `--flag` outside [`FLAGS`], so a typo such as
+/// `--quik` fails instead of silently running the paper protocol.
+fn positional_args(args: &[String]) -> Result<Vec<&str>, String> {
     let mut positional = Vec::new();
-    let mut skip_value = false;
-    for arg in args {
-        if skip_value {
-            skip_value = false;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            positional.push(arg.as_str());
             continue;
         }
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            skip_value = true;
-            continue;
+        match FLAGS.iter().find(|(flag, _)| flag == arg) {
+            Some((_, true)) => {
+                args.next();
+            }
+            Some((_, false)) => {}
+            None => {
+                let known: Vec<&str> = FLAGS.iter().map(|(flag, _)| *flag).collect();
+                return Err(format!("unknown flag {arg:?} (known: {})", known.join(" ")));
+            }
         }
-        if arg.starts_with("--") {
-            continue;
-        }
-        positional.push(arg.as_str());
     }
-    positional
+    Ok(positional)
 }
 
 /// One [`drain_queue`] pass with the CLI's retry policy and log
@@ -292,15 +323,16 @@ fn drain(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let list = args.iter().any(|a| a == "--list");
-    let timing = args.iter().any(|a| a == "--timing");
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    let merge_only = args.iter().any(|a| a == "--merge-only");
-    let best_effort = args.iter().any(|a| a == "--best-effort");
-    let enqueue = args.iter().any(|a| a == "--enqueue");
-    let worker = args.iter().any(|a| a == "--worker");
-    let serve = args.iter().any(|a| a == "--serve");
+    let wanted = positional_args(&args).unwrap_or_else(|e| fail(e));
+    let quick = switch(&args, "--quick");
+    let list = switch(&args, "--list");
+    let timing = switch(&args, "--timing");
+    let no_cache = switch(&args, "--no-cache");
+    let merge_only = switch(&args, "--merge-only");
+    let best_effort = switch(&args, "--best-effort");
+    let enqueue = switch(&args, "--enqueue");
+    let worker = switch(&args, "--worker");
+    let serve = switch(&args, "--serve");
     let json_dir = flag_value(&args, "--json");
     let dump_dir = flag_value(&args, "--dump-specs");
     let spec_file = flag_value(&args, "--spec");
@@ -346,7 +378,7 @@ fn main() {
         })
         .unwrap_or(1);
     require(replicas >= 1, "--replicas takes a positive integer");
-    let cache_gc = args.iter().any(|a| a == "--cache-gc");
+    let cache_gc = switch(&args, "--cache-gc");
     let max_age_days: u64 = flag_value(&args, "--max-age-days")
         .map(|d| {
             d.parse()
@@ -429,7 +461,6 @@ fn main() {
             runner = runner.with_ckpt(ckpt, ckpt_every);
         }
     }
-    let wanted = positional_args(&args);
     let known: Vec<&str> = figures().iter().map(|f| f.name).collect();
     for name in &wanted {
         require(
@@ -656,15 +687,8 @@ fn main() {
     if let Some(path) = &spec_file {
         let json = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(format!("cannot read spec file {path}: {e}")));
-        // Accept a single spec object or an array of them; migrate
-        // older schema versions to the current one.
-        let parsed: Vec<ScenarioSpec> = serde_json::from_str::<Vec<ScenarioSpec>>(&json)
-            .or_else(|_| serde_json::from_str::<ScenarioSpec>(&json).map(|s| vec![s]))
-            .unwrap_or_else(|e| fail(format!("cannot parse {path} as ScenarioSpec JSON: {e}")));
-        let specs: Vec<ScenarioSpec> = parsed
-            .into_iter()
-            .map(|s| s.migrate().unwrap_or_else(|e| fail(format!("{path}: {e}"))))
-            .collect();
+        let specs =
+            ScenarioSpec::list_from_json(&json).unwrap_or_else(|e| fail(format!("{path}: {e}")));
         require(
             !specs.is_empty(),
             format!("{path} contains no scenario specs"),
@@ -675,13 +699,9 @@ fn main() {
         );
         // Seeds bake exactly as for a figure job, so a dumped figure's
         // spec file reuses that figure's store entries.
-        let rendered = run_replicated(
-            &runner,
-            &specs,
-            replicas as u64,
-            SeedPolicy::SpecSeed,
-            |runs| runs.iter().map(spec_table).collect(),
-        )
+        let rendered = run_replicated(&runner, &specs, replicas as u64, |runs| {
+            runs.iter().map(spec_table).collect()
+        })
         .unwrap_or_else(|failures| {
             fail(ServiceError::CellsFailed {
                 figure: path.clone(),
@@ -765,5 +785,22 @@ fn main() {
                 &stats.stddev,
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn positional_args_skip_flag_values_and_reject_unknown_flags() {
+        let argv = args("fig4 --json fig12 --quick fig3 --threads 2");
+        assert_eq!(positional_args(&argv).unwrap(), ["fig4", "fig3"]);
+        let err = positional_args(&args("fig3 --json out --")).unwrap_err();
+        assert!(err.starts_with("unknown flag \"--\""), "{err}");
     }
 }

@@ -20,10 +20,9 @@
 //! filesystem work [`queue`] handing shards to workers; rendering is a
 //! pure function of the store, so sharded and unsharded runs merge to
 //! byte-identical tables. The `a4-repro` binary is one client of that
-//! service (and dumps/loads the specs as JSON); `a4-bench` wraps the
-//! figures in Criterion targets; the
-//! integration tests assert the *shapes* (who wins, where the bumps are)
-//! rather than absolute numbers — see EXPERIMENTS.md.
+//! service (and dumps/loads the specs as JSON); the integration tests
+//! assert the *shapes* (who wins, where the bumps are) rather than
+//! absolute numbers — see EXPERIMENTS.md.
 //!
 //! | module | paper figure | what it shows |
 //! |---|---|---|

@@ -589,7 +589,7 @@ impl SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{bake_units, SeedPolicy};
+    use crate::service::bake_units;
     use crate::spec::RunOpts;
 
     #[test]
@@ -706,7 +706,7 @@ mod tests {
             &[0],
             a4_model::Priority::Low,
         );
-        let units = bake_units(&[spec], 2, SeedPolicy::SpecSeed);
+        let units = bake_units(&[spec], 2);
         let ipc = |r: usize| {
             let runs = SweepRunner::serial()
                 .run_specs(std::slice::from_ref(&units[r].spec))

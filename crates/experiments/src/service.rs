@@ -203,15 +203,14 @@ pub fn figure(name: &str) -> Option<FigureDef> {
     figures().into_iter().find(|f| f.name == name)
 }
 
-/// How a single-replica sweep seeds its cells (see [`bake_units`];
-/// replicated sweeps always double-derive per `(replica, cell)`).
+/// How a single-replica sweep seeds its cells. One variant: a single
+/// replica runs every cell at its spec's own seed, and replicated
+/// sweeps double-derive per `(replica, cell)` (see [`bake_units`]). The
+/// type stays only because [`SweepJob`]'s serialized form carries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SeedPolicy {
-    /// Every cell runs with its spec's own seed — the paper protocol
-    /// and the historical CLI default.
+    /// Every cell runs with its spec's own seed — the paper protocol.
     SpecSeed,
-    /// Cell `i` runs with [`derive_seed`]`(spec_seed, i)`.
-    PerCell,
 }
 
 /// One slice of a sharded sweep: shard `index` of `count` owns every
@@ -292,7 +291,7 @@ pub struct SweepJob {
     pub opts: RunOpts,
     /// Replica count (>= 1); replicas > 1 render as mean ± stddev.
     pub replicas: u64,
-    /// Seed policy for single-replica jobs.
+    /// Seed policy (always [`SeedPolicy::SpecSeed`]).
     pub seed_policy: SeedPolicy,
 }
 
@@ -463,11 +462,7 @@ impl SweepJob {
     /// [`ServiceError::UnknownFigure`].
     pub fn units(&self) -> Result<Vec<WorkUnit>, ServiceError> {
         let def = self.def()?;
-        Ok(bake_units(
-            &(def.specs)(&self.opts),
-            self.replicas,
-            self.seed_policy,
-        ))
+        Ok(bake_units(&(def.specs)(&self.opts), self.replicas))
     }
 
     /// The units `shard` owns.
@@ -558,23 +553,6 @@ impl SweepJob {
         })
     }
 
-    /// [`SweepJob::load_runs`], but missing cells become
-    /// [`ScenarioSpec::missing_run`] placeholders (every metric NaN)
-    /// instead of an error. Returns the runs plus
-    /// `(missing, total)` unit counts.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownFigure`].
-    pub fn load_runs_best_effort(
-        &self,
-        store: &ResultCache,
-    ) -> Result<(Vec<Vec<ScenarioRun>>, usize, usize), ServiceError> {
-        let (runs, missing) = self.load(store)?;
-        let total = runs.iter().map(Vec::len).sum();
-        Ok((runs, missing.len(), total))
-    }
-
     /// The one loader: every unit's run, grouped per replica, with a
     /// [`ScenarioSpec::missing_run`] placeholder for each unit the store
     /// lacks, plus the missing units' spec names.
@@ -643,7 +621,8 @@ impl SweepJob {
         &self,
         store: &ResultCache,
     ) -> Result<(JobTables, usize, usize), ServiceError> {
-        let (runs, missing, total) = self.load_runs_best_effort(store)?;
+        let (runs, missing) = self.load(store)?;
+        let (missing, total) = (missing.len(), runs.iter().map(Vec::len).sum());
         let mut tables = self.render(&runs)?;
         if missing > 0 {
             let suffix = format!(" [best-effort: {missing}/{total} cells missing]");
@@ -675,13 +654,13 @@ impl SweepJob {
     pub fn execute(&self, runner: &SweepRunner) -> Result<JobTables, ServiceError> {
         let def = self.def()?;
         let specs = (def.specs)(&self.opts);
-        run_replicated(runner, &specs, self.replicas, self.seed_policy, def.render).map_err(
-            |failures| ServiceError::CellsFailed {
+        run_replicated(runner, &specs, self.replicas, def.render).map_err(|failures| {
+            ServiceError::CellsFailed {
                 figure: self.figure.clone(),
                 failures,
                 total: specs.len() * self.replicas as usize,
-            },
-        )
+            }
+        })
     }
 }
 
@@ -691,25 +670,21 @@ impl SweepJob {
 /// * `replicas > 1`: unit `(r, i)` runs at
 ///   [`derive_seed`]`(`[`derive_seed`]`(spec_seed, r), i)`, decorrelated
 ///   across both replicas and cells;
-/// * one replica: [`SeedPolicy::SpecSeed`] keeps each spec's own seed,
-///   [`SeedPolicy::PerCell`] runs cell `i` at
-///   [`derive_seed`]`(spec_seed, i)`.
+/// * one replica: each spec keeps its own seed.
 ///
 /// Every seed is a pure function of `(spec, r, i)`, so each unit keys
 /// the store on its own and the same specs always bake to the same
 /// keys, whether they came from the figure registry or a spec file.
-pub fn bake_units(specs: &[ScenarioSpec], replicas: u64, policy: SeedPolicy) -> Vec<WorkUnit> {
+pub fn bake_units(specs: &[ScenarioSpec], replicas: u64) -> Vec<WorkUnit> {
     let replicas = replicas.max(1);
     let mut units = Vec::with_capacity(specs.len() * replicas as usize);
     for r in 0..replicas {
         for (i, spec) in specs.iter().enumerate() {
-            let (base, cell) = (spec.opts.seed, i as u64);
-            let spec = match (replicas > 1, policy) {
-                (true, _) => spec
-                    .clone()
-                    .with_seed(derive_seed(derive_seed(base, r), cell)),
-                (false, SeedPolicy::PerCell) => spec.clone().with_seed(derive_seed(base, cell)),
-                (false, SeedPolicy::SpecSeed) => spec.clone(),
+            let spec = if replicas > 1 {
+                let seed = derive_seed(derive_seed(spec.opts.seed, r), i as u64);
+                spec.clone().with_seed(seed)
+            } else {
+                spec.clone()
             };
             units.push(WorkUnit {
                 index: units.len() as u64,
@@ -766,10 +741,9 @@ pub fn run_replicated(
     runner: &SweepRunner,
     specs: &[ScenarioSpec],
     replicas: u64,
-    policy: SeedPolicy,
     render: impl Fn(&[ScenarioRun]) -> Vec<Table>,
 ) -> Result<JobTables, Vec<CellFailure>> {
-    let specs: Vec<ScenarioSpec> = bake_units(specs, replicas, policy)
+    let specs: Vec<ScenarioSpec> = bake_units(specs, replicas)
         .into_iter()
         .map(|u| u.spec)
         .collect();
@@ -1029,8 +1003,8 @@ mod tests {
             seen.iter().all(|&n| n == 1),
             "each unit in exactly one shard"
         );
-        // And the effective specs are the grid specs themselves under
-        // the default policy (byte-identical store keys).
+        // And the effective specs are the grid specs themselves for
+        // a single replica (byte-identical store keys).
         let direct = (job.def().unwrap().specs)(&quick());
         for (unit, spec) in all.iter().zip(&direct) {
             assert_eq!(spec_key(&unit.spec), spec_key(spec));
@@ -1039,7 +1013,7 @@ mod tests {
 
     #[test]
     fn replicated_units_double_derive_seeds() {
-        let job = SweepJob::new("fig4", quick(), 2, SeedPolicy::PerCell).unwrap();
+        let job = SweepJob::new("fig4", quick(), 2, SeedPolicy::SpecSeed).unwrap();
         let units = job.units().unwrap();
         let specs = (job.def().unwrap().specs)(&quick());
         assert_eq!(units.len(), 2 * specs.len());

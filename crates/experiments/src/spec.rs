@@ -823,17 +823,19 @@ impl ScenarioSpec {
         }
     }
 
-    /// Parses one spec from JSON and migrates it to the current schema
-    /// (the `a4-repro --spec` loader).
+    /// Parses a spec file — an array of specs, or one spec object — and
+    /// migrates each spec to the current schema (the `a4-repro --spec`
+    /// loader).
     ///
     /// # Errors
     ///
     /// Returns [`SpecError::Invalid`] for malformed JSON or a
     /// future-versioned schema.
-    pub fn from_json(json: &str) -> std::result::Result<Self, SpecError> {
-        let spec: ScenarioSpec = serde_json::from_str(json)
+    pub fn list_from_json(json: &str) -> std::result::Result<Vec<Self>, SpecError> {
+        let specs: Vec<ScenarioSpec> = serde_json::from_str(json)
+            .or_else(|_| serde_json::from_str(json).map(|spec| vec![spec]))
             .map_err(|e| SpecError::Invalid(format!("unparseable spec JSON: {e}")))?;
-        spec.migrate()
+        specs.into_iter().map(Self::migrate).collect()
     }
 
     /// Checks internal consistency without building the system.

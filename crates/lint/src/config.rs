@@ -13,10 +13,10 @@
 //!   mutation that bypasses the `Fs` seam escapes fault injection and
 //!   the crash-consistency proptests;
 //! * **counter** — everything else we ship (remaining experiments
-//!   code, the facade, benches, this linter): counter-safety only.
+//!   code, the facade, this linter): counter-safety only.
 //!
 //! `crates/compat/**` is exempt: it vendors third-party code whose
-//! style we deliberately do not own. Test/bench/example trees are not
+//! style we deliberately do not own. Test and example trees are not
 //! scanned — they do not ship in the replayed sim or the fleet worker
 //! (and `#[cfg(test)]` modules inside scanned files are skipped by the
 //! engine itself).

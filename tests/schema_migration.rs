@@ -10,7 +10,7 @@
 //! version. Anything newer than this build is rejected instead of
 //! silently misread.
 
-use a4::experiments::spec::SCHEMA_VERSION;
+use a4::experiments::spec::{SpecError, SCHEMA_VERSION};
 use a4::experiments::{spec_key, RunOpts, ScenarioSpec, WorkloadSpec};
 use a4::model::Priority;
 
@@ -82,9 +82,16 @@ fn current_equivalent() -> ScenarioSpec {
     )
 }
 
+/// Loads a spec file holding exactly one spec object.
+fn load_one(json: &str) -> Result<ScenarioSpec, SpecError> {
+    let mut specs = ScenarioSpec::list_from_json(json)?;
+    assert_eq!(specs.len(), 1, "a single spec object loads as one spec");
+    Ok(specs.remove(0))
+}
+
 #[test]
 fn v1_dump_loads_migrates_and_equals_the_current_spec() {
-    let spec = ScenarioSpec::from_json(V1_FIXTURE).expect("v1 dumps keep loading");
+    let spec = load_one(V1_FIXTURE).expect("v1 dumps keep loading");
     assert_eq!(spec.schema, SCHEMA_VERSION);
     // The absent NUMA fields default to the v1 semantics.
     assert_eq!(spec.system.sockets, None);
@@ -103,7 +110,7 @@ fn v1_dump_loads_migrates_and_equals_the_current_spec() {
 
 #[test]
 fn v1_dump_still_runs() {
-    let spec = ScenarioSpec::from_json(V1_FIXTURE).expect("v1 dumps keep loading");
+    let spec = load_one(V1_FIXTURE).expect("v1 dumps keep loading");
     let run = spec.build().expect("migrated spec builds").run();
     assert!(run.report.total_instructions_all() > 0);
     assert!(run.ipc("xmem") > 0.0);
@@ -130,7 +137,7 @@ fn schema_versions_migrate_or_reject() {
         (with_schema(99), None),
     ];
     for (i, (json, expect)) in cases.iter().enumerate() {
-        match (ScenarioSpec::from_json(json), expect) {
+        match (load_one(json), expect) {
             (Ok(spec), Some(version)) => {
                 assert_eq!(spec.schema, *version, "case {i}");
                 spec.validate().unwrap_or_else(|e| panic!("case {i}: {e}"));
@@ -143,8 +150,24 @@ fn schema_versions_migrate_or_reject() {
 }
 
 #[test]
+fn spec_arrays_load_and_migrate_every_element() {
+    // A `--dump-specs` file is an array; mixed-version elements each
+    // migrate, and one future-versioned element rejects the whole file.
+    let mixed = format!("[{V1_FIXTURE}, {}]", with_schema(2));
+    let specs = ScenarioSpec::list_from_json(&mixed).expect("arrays load");
+    assert_eq!(specs.len(), 2);
+    for spec in &specs {
+        assert_eq!(spec, &current_equivalent());
+    }
+    let future = format!("[{V1_FIXTURE}, {}]", with_schema(SCHEMA_VERSION + 1));
+    assert!(ScenarioSpec::list_from_json(&future).is_err());
+    assert_eq!(ScenarioSpec::list_from_json("[]").unwrap(), Vec::new());
+    assert!(ScenarioSpec::list_from_json("{").is_err());
+}
+
+#[test]
 fn future_schema_fails_validation_even_unmigrated() {
-    // A future-versioned spec smuggled in without from_json (e.g.
+    // A future-versioned spec smuggled in without list_from_json (e.g.
     // deserialized as part of a larger structure) still cannot run.
     let json = with_schema(SCHEMA_VERSION + 1);
     let spec: ScenarioSpec = serde_json::from_str(&json).expect("parses structurally");

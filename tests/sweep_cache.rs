@@ -160,8 +160,8 @@ fn replicas_key_the_cache_independently() {
     // `--replicas N` bakes each cell at doubly-derived seeds; every
     // (cell, replica) pair must cache under its own key (the effective
     // post-derivation spec), reproduce bit-identically warm, and never
-    // collide with the plain or per-cell-derived runs. X-Mem 3 consumes
-    // the workload RNG, so distinct seeds give distinct results.
+    // collide with the plain runs. X-Mem 3 consumes the workload RNG,
+    // so distinct seeds give distinct results.
     let dir = tmp_cache("replicas");
     let specs: Vec<ScenarioSpec> = cells()
         .into_iter()
@@ -174,7 +174,7 @@ fn replicas_key_the_cache_independently() {
             )
         })
         .collect();
-    let units = bake_units(&specs, 2, SeedPolicy::SpecSeed);
+    let units = bake_units(&specs, 2);
     let run_replica = |r: u64| -> Vec<(u64, u64, u64, u64)> {
         let replica: Vec<ScenarioSpec> = units
             .iter()
@@ -263,9 +263,9 @@ fn warm_shared_store_never_simulates() {
 
 #[test]
 fn derived_seeds_key_the_effective_spec() {
-    // With per-cell seed derivation the *effective* spec (post
-    // derive_seed) must be what's cached, so plain and derived runs
-    // never collide. The cells must actually consume the workload RNG
+    // With derived seeds the *effective* spec (post derive_seed) must
+    // be what's cached, so plain and derived runs never collide.
+    // Replica 0 of a two-replica bake derives every cell's seed. The cells must actually consume the workload RNG
     // for the seed to show in results — X-Mem 3 reads randomly (DPDK
     // alone never draws from it).
     let dir = tmp_cache("seeds");
@@ -281,8 +281,9 @@ fn derived_seeds_key_the_effective_spec() {
         })
         .collect();
     let runner = SweepRunner::serial().with_cache_dir(&dir);
-    let derived: Vec<ScenarioSpec> = bake_units(&specs, 1, SeedPolicy::PerCell)
+    let derived: Vec<ScenarioSpec> = bake_units(&specs, 2)
         .into_iter()
+        .filter(|u| u.replica == 0)
         .map(|u| u.spec)
         .collect();
 
