@@ -83,19 +83,34 @@ impl WorkloadCounters {
     }
 
     fn accumulate(&mut self, other: &Self) {
-        self.mlc_hits += other.mlc_hits;
-        self.llc_hits += other.llc_hits;
-        self.llc_misses += other.llc_misses;
-        self.mem_read_lines += other.mem_read_lines;
-        self.mem_write_lines += other.mem_write_lines;
-        self.dca_updates += other.dca_updates;
-        self.dca_allocs += other.dca_allocs;
-        self.dma_leaks += other.dma_leaks;
-        self.dma_bloats += other.dma_bloats;
-        self.migrations += other.migrations;
-        self.evictions_suffered += other.evictions_suffered;
-        self.back_invalidations += other.back_invalidations;
-        self.dca_consumed += other.dca_consumed;
+        let WorkloadCounters {
+            mlc_hits,
+            llc_hits,
+            llc_misses,
+            mem_read_lines,
+            mem_write_lines,
+            dca_updates,
+            dca_allocs,
+            dma_leaks,
+            dma_bloats,
+            migrations,
+            evictions_suffered,
+            back_invalidations,
+            dca_consumed,
+        } = *other;
+        self.mlc_hits += mlc_hits;
+        self.llc_hits += llc_hits;
+        self.llc_misses += llc_misses;
+        self.mem_read_lines += mem_read_lines;
+        self.mem_write_lines += mem_write_lines;
+        self.dca_updates += dca_updates;
+        self.dca_allocs += dca_allocs;
+        self.dma_leaks += dma_leaks;
+        self.dma_bloats += dma_bloats;
+        self.migrations += migrations;
+        self.evictions_suffered += evictions_suffered;
+        self.back_invalidations += back_invalidations;
+        self.dca_consumed += dca_consumed;
     }
 
     fn minus(&self, older: &Self) -> Self {
@@ -138,6 +153,23 @@ impl DeviceCounters {
     /// Fraction of this device's DCA allocations that leaked (T2 input).
     pub fn dca_leak_rate(&self) -> f64 {
         ratio(self.dma_leaks, self.dca_allocs)
+    }
+
+    fn accumulate(&mut self, other: &Self) {
+        let DeviceCounters {
+            dma_write_lines,
+            dma_to_memory_lines,
+            dma_read_lines,
+            dca_updates,
+            dca_allocs,
+            dma_leaks,
+        } = *other;
+        self.dma_write_lines += dma_write_lines;
+        self.dma_to_memory_lines += dma_to_memory_lines;
+        self.dma_read_lines += dma_read_lines;
+        self.dca_updates += dca_updates;
+        self.dca_allocs += dca_allocs;
+        self.dma_leaks += dma_leaks;
     }
 
     fn minus(&self, older: &Self) -> Self {
@@ -264,23 +296,24 @@ impl HierarchyStats {
     /// Panics in debug builds if `older` has larger counters (snapshots
     /// must come from the same monotonic run).
     pub fn delta_into(&self, older: &HierarchyStats, out: &mut HierarchyStats) {
-        out.total = self.total.minus(&older.total);
-        debug_assert_eq!(self.workloads.len(), older.workloads.len());
+        let HierarchyStats {
+            total,
+            workloads,
+            devices,
+        } = self;
+        out.total = total.minus(&older.total);
+        debug_assert_eq!(workloads.len(), older.workloads.len());
         out.workloads.clear();
         out.workloads.extend(
-            self.workloads
+            workloads
                 .iter()
                 .zip(&older.workloads)
                 .map(|(n, o)| n.minus(o)),
         );
-        debug_assert_eq!(self.devices.len(), older.devices.len());
+        debug_assert_eq!(devices.len(), older.devices.len());
         out.devices.clear();
-        out.devices.extend(
-            self.devices
-                .iter()
-                .zip(&older.devices)
-                .map(|(n, o)| n.minus(o)),
-        );
+        out.devices
+            .extend(devices.iter().zip(&older.devices).map(|(n, o)| n.minus(o)));
     }
 
     /// Overwrites `self` with `other` without allocating (both sides have
@@ -288,11 +321,16 @@ impl HierarchyStats {
     /// two `memcpy`s) — the snapshot-roll counterpart of
     /// [`HierarchyStats::delta_into`].
     pub fn copy_from(&mut self, other: &HierarchyStats) {
-        self.total = other.total;
-        debug_assert_eq!(self.workloads.len(), other.workloads.len());
-        self.workloads.copy_from_slice(&other.workloads);
-        debug_assert_eq!(self.devices.len(), other.devices.len());
-        self.devices.copy_from_slice(&other.devices);
+        let HierarchyStats {
+            total,
+            workloads,
+            devices,
+        } = other;
+        self.total = *total;
+        debug_assert_eq!(self.workloads.len(), workloads.len());
+        self.workloads.copy_from_slice(workloads);
+        debug_assert_eq!(self.devices.len(), devices.len());
+        self.devices.copy_from_slice(devices);
     }
 
     pub(crate) fn bump<F: Fn(&mut WorkloadCounters)>(&mut self, wl: WorkloadId, f: F) {
@@ -302,17 +340,17 @@ impl HierarchyStats {
 
     /// Merges `other` into `self` (used when aggregating shards).
     pub fn merge(&mut self, other: &HierarchyStats) {
-        self.total.accumulate(&other.total);
-        for (dst, src) in self.workloads.iter_mut().zip(&other.workloads) {
+        let HierarchyStats {
+            total,
+            workloads,
+            devices,
+        } = other;
+        self.total.accumulate(total);
+        for (dst, src) in self.workloads.iter_mut().zip(workloads) {
             dst.accumulate(src);
         }
-        for (dst, src) in self.devices.iter_mut().zip(&other.devices) {
-            dst.dma_write_lines += src.dma_write_lines;
-            dst.dma_to_memory_lines += src.dma_to_memory_lines;
-            dst.dma_read_lines += src.dma_read_lines;
-            dst.dca_updates += src.dca_updates;
-            dst.dca_allocs += src.dca_allocs;
-            dst.dma_leaks += src.dma_leaks;
+        for (dst, src) in self.devices.iter_mut().zip(devices) {
+            dst.accumulate(src);
         }
     }
 }
@@ -401,5 +439,53 @@ mod tests {
         assert_eq!(a.workload(WorkloadId(1)).llc_hits, 3);
         assert_eq!(a.device(DeviceId(0)).dma_write_lines, 9);
         assert_eq!(a.total_dma_write_lines(), 9);
+    }
+
+    /// Every counter field goes through merge, delta and copy. The
+    /// literals carry no `..`, so a new field must be given a value
+    /// here; the values are pairwise distinct, so a field summed into
+    /// the wrong slot shows too.
+    #[test]
+    fn counter_algebra_covers_every_field() {
+        let wl = WorkloadCounters {
+            mlc_hits: 1,
+            llc_hits: 2,
+            llc_misses: 3,
+            mem_read_lines: 4,
+            mem_write_lines: 5,
+            dca_updates: 6,
+            dca_allocs: 7,
+            dma_leaks: 8,
+            dma_bloats: 9,
+            migrations: 10,
+            evictions_suffered: 11,
+            back_invalidations: 12,
+            dca_consumed: 13,
+        };
+        let dev = DeviceCounters {
+            dma_write_lines: 14,
+            dma_to_memory_lines: 15,
+            dma_read_lines: 16,
+            dca_updates: 17,
+            dca_allocs: 18,
+            dma_leaks: 19,
+        };
+        let mut b = HierarchyStats::new();
+        b.total = wl;
+        *b.workload_mut(WorkloadId(2)) = wl;
+        *b.device_mut(DeviceId(1)) = dev;
+        // A non-empty base on other rows, so merge must add, not copy.
+        let mut a = HierarchyStats::new();
+        a.total = wl;
+        *a.workload_mut(WorkloadId(0)) = wl;
+        *a.device_mut(DeviceId(0)) = dev;
+        let a_before = a.clone();
+
+        a.merge(&b);
+        assert_eq!(a.delta_since(&a_before), b);
+
+        let mut copy = HierarchyStats::new();
+        copy.copy_from(&a);
+        assert_eq!(copy, a.clone());
     }
 }

@@ -580,45 +580,68 @@ impl LlcPolicy for A4Controller {
         }
     }
 
+    // Both halves name every field: `self` by destructuring and by
+    // literal, `A4State` by literal and by destructuring. The
+    // configuration and display name are rebuilt by the constructor.
     fn save_ckpt(&self) -> PolicyState {
-        let _rebuilt_by_constructor = (&self.cfg, &self.name);
+        let A4Controller {
+            cfg: _,
+            name: _,
+            phase,
+            zones,
+            lp,
+            trash,
+            trash_frozen,
+            registry,
+            tick,
+            pre_probe_hits,
+            last_mem_bytes,
+            masks_dirty,
+        } = self;
         PolicyState::A4(Box::new(A4State {
-            phase: self.phase,
-            zones: self.zones,
-            lp: self.lp,
-            trash: self.trash,
-            trash_frozen: self.trash_frozen,
-            registry: self
-                .registry
-                .iter()
-                .map(|(id, w)| (*id, w.clone()))
-                .collect(),
-            tick: self.tick,
-            pre_probe_hits: self
-                .pre_probe_hits
-                .iter()
-                .map(|(id, hit)| (*id, *hit))
-                .collect(),
-            last_mem_bytes: self.last_mem_bytes,
-            masks_dirty: self.masks_dirty,
+            phase: *phase,
+            zones: *zones,
+            lp: *lp,
+            trash: *trash,
+            trash_frozen: *trash_frozen,
+            registry: registry.iter().map(|(id, w)| (*id, w.clone())).collect(),
+            tick: *tick,
+            pre_probe_hits: pre_probe_hits.iter().map(|(id, hit)| (*id, *hit)).collect(),
+            last_mem_bytes: *last_mem_bytes,
+            masks_dirty: *masks_dirty,
         }))
     }
 
     fn restore_ckpt(&mut self, state: &PolicyState) -> bool {
-        let _rebuilt_by_constructor = (&self.cfg, &self.name);
         let PolicyState::A4(st) = state else {
             return false;
         };
-        self.phase = st.phase;
-        self.zones = st.zones;
-        self.lp = st.lp;
-        self.trash = st.trash;
-        self.trash_frozen = st.trash_frozen;
-        self.registry = st.registry.iter().cloned().collect();
-        self.tick = st.tick;
-        self.pre_probe_hits = st.pre_probe_hits.iter().copied().collect();
-        self.last_mem_bytes = st.last_mem_bytes;
-        self.masks_dirty = st.masks_dirty;
+        let A4State {
+            phase,
+            zones,
+            lp,
+            trash,
+            trash_frozen,
+            registry,
+            tick,
+            pre_probe_hits,
+            last_mem_bytes,
+            masks_dirty,
+        } = &**st;
+        *self = A4Controller {
+            cfg: self.cfg,
+            name: std::mem::take(&mut self.name),
+            phase: *phase,
+            zones: *zones,
+            lp: *lp,
+            trash: *trash,
+            trash_frozen: *trash_frozen,
+            registry: registry.iter().cloned().collect(),
+            tick: *tick,
+            pre_probe_hits: pre_probe_hits.iter().copied().collect(),
+            last_mem_bytes: *last_mem_bytes,
+            masks_dirty: *masks_dirty,
+        };
         true
     }
 }

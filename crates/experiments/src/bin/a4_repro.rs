@@ -102,7 +102,7 @@ use a4_experiments::{figures, run_replicated, FigureDef, JobTables, SeedPolicy, 
 use a4_experiments::{CkptStore, MAX_ATTEMPTS};
 use a4_experiments::{JobQueue, Task};
 use a4_experiments::{RunOpts, ScenarioSpec, Scheme, SweepRunner, Table, TableStats};
-use std::io::Write as _;
+use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -112,6 +112,18 @@ use std::time::Duration;
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("[a4-repro] error: {msg}");
     std::process::exit(2);
+}
+
+/// Writes one line of table or list output to `out`. A closed stdout
+/// (the reader of `a4-repro --list | head -1` went away) ends the run
+/// quietly; any other write error is fatal.
+fn emit(out: &mut impl Write, line: impl std::fmt::Display) {
+    if let Err(e) = writeln!(out, "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        fail(format!("cannot write to stdout: {e}"));
+    }
 }
 
 /// `assert!` for user input: bad arguments are usage errors (exit 2
@@ -275,15 +287,21 @@ fn run_timing(quick: bool, json_dir: Option<&str>) {
 /// # Errors
 ///
 /// Names the first `--flag` outside [`FLAGS`], so a typo such as
-/// `--quik` fails instead of silently running the paper protocol.
+/// `--quik` fails instead of silently running the paper protocol, and
+/// the first flag given twice, whose later values would go unread.
 fn positional_args(args: &[String]) -> Result<Vec<&str>, String> {
     let mut positional = Vec::new();
+    let mut seen: Vec<&str> = Vec::new();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         if !arg.starts_with("--") {
             positional.push(arg.as_str());
             continue;
         }
+        if seen.contains(&arg.as_str()) {
+            return Err(format!("flag {arg:?} given twice"));
+        }
+        seen.push(arg);
         match FLAGS.iter().find(|(flag, _)| flag == arg) {
             Some((_, true)) => {
                 args.next();
@@ -502,10 +520,12 @@ fn main() {
     };
 
     if list {
-        println!("figure  cells  description");
+        let mut stdout = std::io::stdout().lock();
+        emit(&mut stdout, "figure  cells  description");
         for f in figures() {
             let cells = (f.specs)(&f.protocol.opts(quick)).len();
-            println!("{:<7} {:>5}  {}", f.name, cells, f.desc);
+            let row = format!("{:<7} {:>5}  {}", f.name, cells, f.desc);
+            emit(&mut stdout, row);
         }
         return;
     }
@@ -757,11 +777,12 @@ fn main() {
             );
         }
     }
+    let mut stdout = std::io::stdout().lock();
     for table in &tables {
-        println!("{table}");
+        emit(&mut stdout, table);
     }
     for stats in &replica_tables {
-        println!("{stats}");
+        emit(&mut stdout, stats);
     }
     if let Some(dir) = json_dir {
         std::fs::create_dir_all(&dir)

@@ -21,7 +21,6 @@
 //! (and `#[cfg(test)]` modules inside scanned files are skipped by the
 //! engine itself).
 
-use crate::mirror::{check_mirrors, MirrorSpec};
 use crate::rules::{lint_source, Finding, RuleId};
 use std::fs;
 use std::io;
@@ -98,63 +97,6 @@ pub fn rules_for(rel: &str) -> &'static [RuleId] {
     COUNTER_RULES
 }
 
-/// The struct-mirror audits, keyed by workspace-relative file.
-///
-/// Two field-roll-call families:
-///
-/// * `stats.rs` — a struct's fields must be replicated by hand across
-///   accumulate/diff/merge paths; see [`crate::mirror`] for the bug
-///   class.
-/// * checkpoint pairs — every field of `System` and `A4Controller` must
-///   be named in both halves of its hand-written checkpoint pair (a
-///   field that is scratch, structural or rebuilt by the constructor is
-///   named in a roll-call tuple instead). Adding a field without
-///   serializing it would make a restored run silently diverge from the
-///   uninterrupted one — the exact bug the bit-identical-resume property
-///   test exists to catch, except the lint catches it before any test
-///   runs. The simulator components below `System` need no roll call:
-///   they derive their encoding, so every field is written unless it is
-///   marked `#[serde(skip)]`.
-pub fn workspace_mirrors() -> &'static [(&'static str, &'static [MirrorSpec])] {
-    const STATS: &[MirrorSpec] = &[
-        MirrorSpec {
-            struct_name: "WorkloadCounters",
-            mirrors: &[
-                ("WorkloadCounters", "accumulate"),
-                ("WorkloadCounters", "minus"),
-            ],
-        },
-        MirrorSpec {
-            struct_name: "DeviceCounters",
-            mirrors: &[("DeviceCounters", "minus"), ("HierarchyStats", "merge")],
-        },
-        MirrorSpec {
-            struct_name: "HierarchyStats",
-            mirrors: &[
-                ("HierarchyStats", "delta_into"),
-                ("HierarchyStats", "copy_from"),
-                ("HierarchyStats", "merge"),
-            ],
-        },
-    ];
-    const SYSTEM_CKPT: &[MirrorSpec] = &[MirrorSpec {
-        struct_name: "System",
-        mirrors: &[("System", "save_state"), ("System", "restore_state")],
-    }];
-    const CONTROLLER_CKPT: &[MirrorSpec] = &[MirrorSpec {
-        struct_name: "A4Controller",
-        mirrors: &[
-            ("A4Controller", "save_ckpt"),
-            ("A4Controller", "restore_ckpt"),
-        ],
-    }];
-    &[
-        ("crates/cache/src/stats.rs", STATS),
-        ("crates/sim/src/system.rs", SYSTEM_CKPT),
-        ("crates/core/src/controller.rs", CONTROLLER_CKPT),
-    ]
-}
-
 /// Walks up from `start` to the directory whose `Cargo.toml` declares
 /// `[workspace]`.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
@@ -225,17 +167,12 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> io::Result<()> 
 }
 
 /// Lints the whole workspace rooted at `root`: every scanned file
-/// against its tier's rules, plus the struct-mirror audits.
+/// against its tier's rules.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     for rel in workspace_files(root)? {
         let src = fs::read_to_string(root.join(&rel))?;
         findings.extend(lint_source(&rel, &src, rules_for(&rel)));
-        for &(mirror_file, specs) in workspace_mirrors() {
-            if rel == mirror_file {
-                findings.extend(check_mirrors(&rel, &src, specs));
-            }
-        }
     }
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)
@@ -263,59 +200,6 @@ mod tests {
         assert_eq!(rules_for("crates/experiments/src/runner.rs"), COUNTER_RULES);
         assert_eq!(rules_for("src/lib.rs"), COUNTER_RULES);
         assert!(rules_for("crates/compat/serde/src/lib.rs").is_empty());
-    }
-
-    #[test]
-    fn checkpoint_mirror_specs_resolve_and_pass_on_the_real_tree() {
-        // Every registered (file, spec) pair must resolve against the
-        // actual workspace source and be clean: a rename that breaks a
-        // spec or a field that slips out of a save/restore roll call
-        // fails here, not just in the --workspace binary run.
-        let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
-            .expect("lint crate lives inside the workspace");
-        for &(file, specs) in workspace_mirrors() {
-            let src = fs::read_to_string(root.join(file))
-                .unwrap_or_else(|e| panic!("mirror file {file} unreadable: {e}"));
-            let findings = check_mirrors(file, &src, specs);
-            assert!(findings.is_empty(), "{file}: {findings:?}");
-        }
-    }
-
-    #[test]
-    fn forgetting_a_field_in_a_checkpoint_pair_is_a_lint_failure() {
-        // The checkpoint idiom: scratch and structural fields are named
-        // in a roll-call tuple, mutable fields field-by-field. Dropping
-        // `now` from restore_state must be caught — that is a restored
-        // run silently diverging.
-        let src = "
-            pub struct System { cfg: u64, scratch: Vec<u64>, now: u64 }
-            impl System {
-                pub fn save_state(&self) -> SystemState {
-                    let _scratch_or_structural = &self.scratch;
-                    SystemState { cfg: self.cfg, now: self.now }
-                }
-                pub fn restore_state(&mut self, st: &SystemState) -> bool {
-                    let _scratch_or_structural = &self.scratch;
-                    if st.cfg != self.cfg {
-                        return false;
-                    }
-                    true
-                }
-            }
-        ";
-        let specs = workspace_mirrors()
-            .iter()
-            .find(|(file, _)| *file == "crates/sim/src/system.rs")
-            .map(|(_, specs)| *specs)
-            .expect("system checkpoint spec registered");
-        let findings = check_mirrors("crates/sim/src/system.rs", src, specs);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(
-            findings[0].message.contains("`System::restore_state`")
-                && findings[0].message.contains("`now`"),
-            "{}",
-            findings[0].message
-        );
     }
 
     #[test]

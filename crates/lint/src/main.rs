@@ -10,10 +10,8 @@
 //! Exit codes: 0 clean, 1 findings, 2 usage/I/O error.
 
 use a4_lint::{
-    check_mirrors, find_workspace_root, lint_source, lint_workspace, rules_for, workspace_mirrors,
-    Finding, RuleId, TIERS,
+    find_workspace_root, lint_source, lint_workspace, rules_for, Finding, RuleId, TIERS,
 };
-use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -87,11 +85,6 @@ fn main() -> ExitCode {
             let rel = f.trim_start_matches("./");
             let rules = tier.unwrap_or_else(|| rules_for(rel));
             out.extend(lint_source(f, &src, rules));
-            for &(mirror_file, specs) in workspace_mirrors() {
-                if Path::new(rel).ends_with(mirror_file) {
-                    out.extend(check_mirrors(f, &src, specs));
-                }
-            }
         }
         out
     };

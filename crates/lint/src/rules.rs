@@ -41,9 +41,6 @@ pub enum RuleId {
     /// Bare `std::fs` access in store/queue paths that must route
     /// filesystem mutations through the `Fs` seam for fault injection.
     FsSeam,
-    /// A struct's fields are not all named in its mirror functions
-    /// (see [`crate::mirror`]).
-    Mirror,
     /// A malformed waiver comment (unknown rule, missing reason).
     WaiverSyntax,
     /// A waiver that suppressed nothing.
@@ -62,7 +59,6 @@ impl RuleId {
             RuleId::PanicUnwrap => "panic-unwrap",
             RuleId::SilentIo => "silent-io",
             RuleId::FsSeam => "fs-seam",
-            RuleId::Mirror => "mirror",
             RuleId::WaiverSyntax => "waiver-syntax",
             RuleId::UnusedWaiver => "unused-waiver",
         }
@@ -91,7 +87,6 @@ impl RuleId {
                 "forbids bare std::fs in store/queue paths: route through the Fs seam \
                  so fault injection and crash tests cover the operation"
             }
-            RuleId::Mirror => "struct fields must appear in every designated mirror function",
             RuleId::WaiverSyntax => "waivers must name a known rule and carry a `-- <reason>`",
             RuleId::UnusedWaiver => "waivers that suppress nothing must be removed",
         }
@@ -107,7 +102,6 @@ impl RuleId {
         RuleId::PanicUnwrap,
         RuleId::SilentIo,
         RuleId::FsSeam,
-        RuleId::Mirror,
     ];
 
     /// Every rule, for `--list-rules`.
@@ -120,7 +114,6 @@ impl RuleId {
         RuleId::PanicUnwrap,
         RuleId::SilentIo,
         RuleId::FsSeam,
-        RuleId::Mirror,
         RuleId::WaiverSyntax,
         RuleId::UnusedWaiver,
     ];

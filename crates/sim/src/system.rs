@@ -850,30 +850,50 @@ impl System {
     /// [`SystemConfig`], same attach/registration history) and continuing
     /// is bit-identical to never having stopped. The components travel
     /// as themselves; each one leaves its scratch fields out of the
-    /// encoding (`#[serde(skip)]`). Not captured here, because they are
-    /// scratch or derived: `sample_deltas`/`sample_merged` (overwritten
-    /// before every use), `device_owners` (recomputed from the slots on
-    /// demand) and `device_sockets` (structural — reproduced by
-    /// rebuilding from the same spec).
+    /// encoding (`#[serde(skip)]`). `self` is destructured without `..`,
+    /// so a new field fails to compile here until it is either saved or
+    /// named as `_`: scratch or derived (`sample_deltas`/`sample_merged`
+    /// are overwritten before every use, `device_owners` is recomputed
+    /// from the slots on demand) or structural (`device_sockets`,
+    /// reproduced by rebuilding from the same spec).
     pub fn save_state(&self) -> SystemState {
-        let _scratch_or_structural = (
-            &self.device_sockets,
-            &self.sample_deltas,
-            &self.sample_merged,
-            &self.device_owners,
-            &self.device_owners_stale,
-        );
+        let System {
+            cfg,
+            socks,
+            upi,
+            rcaches,
+            mem,
+            root,
+            devices,
+            device_sockets: _,
+            slots,
+            now,
+            quantum_count,
+            rng,
+            alloc_cursors,
+            quantum_totals,
+            sample_snapshots,
+            sample_deltas: _,
+            sample_merged: _,
+            device_owners: _,
+            device_owners_stale: _,
+            dev_snapshots,
+            upi_snapshots,
+            interval_mem_read,
+            interval_mem_written,
+            interval_start,
+            logical_seconds,
+        } = self;
         SystemState {
             version: SYSTEM_CKPT_VERSION,
-            cfg: self.cfg,
-            socks: self.socks.clone(),
-            upi: self.upi.clone(),
-            rcaches: self.rcaches.clone(),
-            mem: self.mem.clone(),
-            root: self.root.clone(),
-            devices: self.devices.clone(),
-            slots: self
-                .slots
+            cfg: *cfg,
+            socks: socks.clone(),
+            upi: upi.clone(),
+            rcaches: rcaches.clone(),
+            mem: mem.clone(),
+            root: root.clone(),
+            devices: devices.clone(),
+            slots: slots
                 .iter()
                 .map(|s| SlotState {
                     wl_state: s.wl.ckpt_state(),
@@ -881,22 +901,21 @@ impl System {
                     active: s.active,
                 })
                 .collect(),
-            now: self.now,
-            quantum_count: self.quantum_count,
-            rng: self.rng.state(),
-            alloc_cursors: self.alloc_cursors.clone(),
-            quantum_totals: self.quantum_totals.clone(),
-            sample_snapshots: self.sample_snapshots.clone(),
-            dev_snapshots: self
-                .dev_snapshots
+            now: *now,
+            quantum_count: *quantum_count,
+            rng: rng.state(),
+            alloc_cursors: alloc_cursors.clone(),
+            quantum_totals: quantum_totals.clone(),
+            sample_snapshots: sample_snapshots.clone(),
+            dev_snapshots: dev_snapshots
                 .iter()
                 .map(|d| (d.delivered, d.dropped))
                 .collect(),
-            upi_snapshots: self.upi_snapshots.clone(),
-            interval_mem_read: self.interval_mem_read,
-            interval_mem_written: self.interval_mem_written,
-            interval_start: self.interval_start,
-            logical_seconds: self.logical_seconds,
+            upi_snapshots: upi_snapshots.clone(),
+            interval_mem_read: *interval_mem_read,
+            interval_mem_written: *interval_mem_written,
+            interval_start: *interval_start,
+            logical_seconds: *logical_seconds,
         }
     }
 
@@ -910,12 +929,6 @@ impl System {
     /// configurations or component counts do not match, or if a workload
     /// engine rejects its encoding.
     pub fn restore_state(&mut self, st: &SystemState) -> bool {
-        let _scratch_or_structural = (
-            &self.device_sockets,
-            &self.sample_deltas,
-            &self.sample_merged,
-            &self.device_owners,
-        );
         if st.version != SYSTEM_CKPT_VERSION
             || st.cfg != self.cfg
             || st.socks.len() != self.socks.len()
@@ -951,34 +964,66 @@ impl System {
                 return false;
             }
         }
-        for (slot, s) in self.slots.iter_mut().zip(&st.slots) {
+        // Both sides are named in full, the snapshot by destructuring
+        // and `self` by literal: the structural and scratch fields carry
+        // over, and the derived device owners are recomputed lazily.
+        let SystemState {
+            version: _,
+            cfg: _,
+            socks,
+            upi,
+            rcaches,
+            mem,
+            root,
+            devices,
+            slots,
+            now,
+            quantum_count,
+            rng,
+            alloc_cursors,
+            quantum_totals,
+            sample_snapshots,
+            dev_snapshots,
+            upi_snapshots,
+            interval_mem_read,
+            interval_mem_written,
+            interval_start,
+            logical_seconds,
+        } = st;
+        for (slot, s) in self.slots.iter_mut().zip(slots) {
             slot.perf = s.perf.clone();
             slot.active = s.active;
         }
-        self.socks = st.socks.clone();
-        self.upi = st.upi.clone();
-        self.rcaches = st.rcaches.clone();
-        self.mem = st.mem.clone();
-        self.root = st.root.clone();
-        self.devices = st.devices.clone();
-        self.now = st.now;
-        self.quantum_count = st.quantum_count;
-        self.rng = SmallRng::from_state(st.rng);
-        self.alloc_cursors = st.alloc_cursors.clone();
-        self.quantum_totals = st.quantum_totals.clone();
-        self.sample_snapshots = st.sample_snapshots.clone();
-        self.dev_snapshots = st
-            .dev_snapshots
-            .iter()
-            .map(|&(delivered, dropped)| DevSnapshot { delivered, dropped })
-            .collect();
-        self.upi_snapshots = st.upi_snapshots.clone();
-        self.interval_mem_read = st.interval_mem_read;
-        self.interval_mem_written = st.interval_mem_written;
-        self.interval_start = st.interval_start;
-        self.logical_seconds = st.logical_seconds;
-        // Derived state: recompute lazily from the restored slots.
-        self.device_owners_stale = true;
+        *self = System {
+            cfg: self.cfg,
+            socks: socks.clone(),
+            upi: upi.clone(),
+            rcaches: rcaches.clone(),
+            mem: mem.clone(),
+            root: root.clone(),
+            devices: devices.clone(),
+            device_sockets: std::mem::take(&mut self.device_sockets),
+            slots: std::mem::take(&mut self.slots),
+            now: *now,
+            quantum_count: *quantum_count,
+            rng: SmallRng::from_state(*rng),
+            alloc_cursors: alloc_cursors.clone(),
+            quantum_totals: quantum_totals.clone(),
+            sample_snapshots: sample_snapshots.clone(),
+            sample_deltas: std::mem::take(&mut self.sample_deltas),
+            sample_merged: std::mem::take(&mut self.sample_merged),
+            device_owners: std::mem::take(&mut self.device_owners),
+            device_owners_stale: true,
+            dev_snapshots: dev_snapshots
+                .iter()
+                .map(|&(delivered, dropped)| DevSnapshot { delivered, dropped })
+                .collect(),
+            upi_snapshots: upi_snapshots.clone(),
+            interval_mem_read: *interval_mem_read,
+            interval_mem_written: *interval_mem_written,
+            interval_start: *interval_start,
+            logical_seconds: *logical_seconds,
+        };
         true
     }
 }

@@ -278,3 +278,71 @@ fn bit_flipped_checkpoints_restart_from_zero() {
     assert!(!path.exists(), "corrupt entry is removed");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// FNV-1a (64-bit) over `bytes`: a fingerprint for the byte pins below.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Byte golden for both checkpoint encodings. A small deterministic
+/// cell — a DPDK-T reader on a NIC, a streaming X-Mem and an A4
+/// controller on the small test config — runs for two logical seconds;
+/// the JSON of its `System::save_state` and of the controller's
+/// `save_ckpt` must keep these exact bytes. A change to either encoding
+/// (a field added, renamed, reordered or dropped) fails here first, and
+/// must come with a version bump and new pins.
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    use a4::core::{A4Config, A4Controller, FeatureLevel, LlcPolicy, Thresholds};
+    use a4::model::CoreId;
+    use a4::workloads::{AccessOp, AccessPattern, Dpdk, XMem};
+
+    let mut sys = System::new(a4::sim::SystemConfig::small_test());
+    let nic = sys
+        .attach_nic(
+            a4::model::PortId(0),
+            a4::pcie::NicConfig::connectx6_100g(1, 8, 1024),
+        )
+        .expect("nic attaches");
+    sys.add_workload(
+        Box::new(Dpdk::touching(nic)),
+        vec![CoreId(0)],
+        Priority::High,
+    )
+    .expect("dpdk registers");
+    let base = sys.alloc_lines(2048);
+    sys.add_workload(
+        Box::new(XMem::new(
+            "stream",
+            base,
+            2048,
+            AccessPattern::Sequential,
+            AccessOp::Read,
+        )),
+        vec![CoreId(1)],
+        Priority::Low,
+    )
+    .expect("streamer registers");
+    let mut a4 = A4Controller::new(A4Config::with_level(FeatureLevel::D, Thresholds::paper()));
+    for _ in 0..2 {
+        sys.run_logical_seconds(1);
+        let sample = sys.sample();
+        a4.tick(&mut sys, &sample);
+    }
+
+    let system = serde_json::to_string(&sys.save_state()).expect("system state serializes");
+    let policy = serde_json::to_string(&a4.save_ckpt()).expect("policy state serializes");
+    let got = (
+        fnv64(system.as_bytes()),
+        system.len(),
+        fnv64(policy.as_bytes()),
+        policy.len(),
+    );
+    assert_eq!(
+        got,
+        (0x08c5_ba20_a8c5_571a, 122_761, 0x757e_f4b3_0e1e_5edb, 620),
+        "checkpoint bytes changed"
+    );
+}
