@@ -107,6 +107,18 @@ impl CacheHierarchy {
         &self.config
     }
 
+    /// Whether a (deserialized) hierarchy has the shape `config`
+    /// implies: its own config, one MLC per core and every cache's
+    /// storage matching its geometry. A checkpoint that fails this
+    /// would panic on its next access instead of being refused.
+    pub fn fits(&self, config: &HierarchyConfig) -> bool {
+        self.config == *config
+            && self.mlcs.len() == config.cores
+            && self.clos.cores() == config.cores
+            && self.mlcs.iter().all(|m| m.fits(config.mlc))
+            && self.llc.fits(config.llc)
+    }
+
     /// Shared LLC (read-only).
     #[inline]
     pub fn llc(&self) -> &Llc {

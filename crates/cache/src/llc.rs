@@ -196,8 +196,8 @@ struct WayLine {
 // `(tag, presence, meta)` and `(tag, presence)`: a checkpoint holds one
 // per way of every LLC set.
 impl Serialize for WayLine {
-    fn to_value(&self) -> serde::Value {
-        (self.tag, self.presence, self.meta).to_value()
+    fn serialize(&self, w: &mut serde::JsonWriter) {
+        (self.tag, self.presence, self.meta).serialize(w);
     }
 }
 
@@ -231,8 +231,8 @@ struct ExtLine {
 }
 
 impl Serialize for ExtLine {
-    fn to_value(&self) -> serde::Value {
-        (self.tag, self.presence).to_value()
+    fn serialize(&self, w: &mut serde::JsonWriter) {
+        (self.tag, self.presence).serialize(w);
     }
 }
 
@@ -355,6 +355,17 @@ impl Llc {
     #[inline]
     pub fn geometry(&self) -> LlcGeometry {
         self.geometry
+    }
+
+    /// Whether the storage has the shape `geometry` implies: one set
+    /// block per set and the matching address split. A deserialized LLC
+    /// that fails this would index out of bounds on its next access.
+    pub fn fits(&self, geometry: LlcGeometry) -> bool {
+        let sets = geometry.sets();
+        self.geometry == geometry
+            && self.sets.len() == sets
+            && self.set_mask == sets as u64 - 1
+            && self.tag_shift == sets.trailing_zeros()
     }
 
     /// Ways DDIO write-allocates into.

@@ -40,8 +40,8 @@ struct MlcWayLine {
 // Way records keep the compact `(tag, meta)` tuple encoding: a
 // checkpoint holds one per way of every MLC set.
 impl Serialize for MlcWayLine {
-    fn to_value(&self) -> serde::Value {
-        (self.tag, self.meta).to_value()
+    fn serialize(&self, w: &mut serde::JsonWriter) {
+        (self.tag, self.meta).serialize(w);
     }
 }
 
@@ -366,6 +366,16 @@ impl Mlc {
     #[inline]
     pub fn geometry(&self) -> MlcGeometry {
         self.geometry
+    }
+
+    /// Whether the storage has the shape `geometry` implies (see
+    /// [`crate::Llc::fits`]).
+    pub fn fits(&self, geometry: MlcGeometry) -> bool {
+        let sets = geometry.sets();
+        self.geometry == geometry
+            && self.sets.len() == sets
+            && self.set_mask == sets as u64 - 1
+            && self.tag_shift == sets.trailing_zeros()
     }
 
     /// Drops every line (workload teardown in tests).

@@ -761,7 +761,8 @@ mod tests {
         fabric.record_write_lines(1, 2, 64);
         fabric.end_interval(1e-6);
         fabric.record_read_lines(0, 1, 3); // open-interval state
-        let restored = UpiFabric::from_value(&fabric.to_value()).unwrap();
+        let json = serde_json::to_string(&fabric).unwrap();
+        let restored: UpiFabric = serde_json::from_str(&json).unwrap();
         assert_eq!(restored, fabric);
         assert_eq!(restored.link(0, 1).read_lines(), 3);
         assert!(restored.link(0, 2).read_factor() > 1.0);
@@ -801,7 +802,8 @@ mod tests {
         rc.insert(LineAddr(3));
         rc.lookup(LineAddr(3));
         rc.lookup(LineAddr(4));
-        let mut restored = RemoteCache::from_value(&rc.to_value()).unwrap();
+        let json = serde_json::to_string(&rc).unwrap();
+        let mut restored: RemoteCache = serde_json::from_str(&json).unwrap();
         assert_eq!(restored, rc);
         assert!(restored.lookup(LineAddr(3)), "cached slot survives");
     }

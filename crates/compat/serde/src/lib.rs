@@ -4,8 +4,10 @@
 //! tiny subset of the serde API it actually uses: the [`Serialize`] and
 //! [`Deserialize`] traits plus their derive macros (re-exported from the
 //! sibling `serde_derive` proc-macro crate). Instead of serde's visitor
-//! architecture, both traits go through a self-describing [`Value`] tree,
-//! which is all `serde_json`'s `to_string`/`from_str` need.
+//! architecture, [`Serialize`] appends JSON straight into a
+//! [`JsonWriter`] (no intermediate tree: a multi-megabyte checkpoint
+//! costs one growing `String`), and [`Deserialize`] reads a
+//! self-describing [`Value`] tree parsed by `serde_json::from_str`.
 //!
 //! Only plain `#[derive(Serialize, Deserialize)]` plus two named-field
 //! attributes are supported: `#[serde(default)]`, which schema evolution
@@ -18,11 +20,12 @@
 #![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// A self-describing serialized value (the JSON data model).
+/// A self-describing parsed value (the JSON data model), the input of
+/// [`Deserialize`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -50,17 +53,8 @@ impl Value {
     ///
     /// Returns an error if `self` is not a map or lacks the field.
     pub fn get_field(&self, name: &str) -> Result<&Value, Error> {
-        match self {
-            Value::Map(fields) => fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| Error::new(format!("missing field `{name}`"))),
-            other => Err(Error::new(format!(
-                "expected map with field `{name}`, found {}",
-                other.kind()
-            ))),
-        }
+        self.opt_field(name)?
+            .ok_or_else(|| Error::new(format!("missing field `{name}`")))
     }
 
     /// Looks up `name` in a [`Value::Map`], tolerating its absence.
@@ -131,10 +125,183 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Serialization into the [`Value`] data model.
+/// Serialization as JSON text.
 pub trait Serialize {
-    /// Converts `self` into a [`Value`] tree.
-    fn to_value(&self) -> Value;
+    /// Appends `self` to `w` as one JSON value.
+    fn serialize(&self, w: &mut JsonWriter);
+}
+
+/// An append-only JSON emitter over a `String`, compact or pretty
+/// (two-space indent, `": "` after keys, empty containers as `[]`/`{}`).
+/// A container is bracketed by [`JsonWriter::open`] and
+/// [`JsonWriter::close`]; [`JsonWriter::item`], [`JsonWriter::key`] and
+/// [`JsonWriter::field`] place the separators. Nothing but the output
+/// buffer is ever allocated.
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: String,
+    pretty: bool,
+    depth: usize,
+    /// No element written yet in the innermost open container.
+    first: bool,
+}
+
+impl JsonWriter {
+    /// A writer appending to `out`, so a caller can frame the JSON
+    /// without copying it.
+    pub fn append_to(out: String, pretty: bool) -> Self {
+        JsonWriter {
+            out,
+            pretty,
+            depth: 0,
+            first: true,
+        }
+    }
+
+    /// The output buffer.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) {
+        if b {
+            self.out.push_str("true");
+        } else {
+            self.out.push_str("false");
+        }
+    }
+
+    /// An unsigned integer, formatted from a stack digit buffer.
+    pub fn u64(&mut self, mut n: u64) {
+        if n < 10 {
+            self.out.push(char::from(b'0' + n as u8));
+            return;
+        }
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        while n > 0 {
+            i -= 1;
+            buf[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        buf[i..].iter().for_each(|&d| self.out.push(char::from(d)));
+    }
+
+    /// A signed integer.
+    pub fn i64(&mut self, n: i64) {
+        if n < 0 {
+            self.out.push('-');
+        }
+        self.u64(n.unsigned_abs());
+    }
+
+    /// A float: the shortest representation that parses back to the
+    /// same `f64`, always with a decimal point or exponent; non-finite
+    /// values, which JSON cannot hold, are `null`.
+    pub fn f64(&mut self, f: f64) {
+        if f.is_finite() {
+            let _ = write!(self.out, "{f:?}");
+        } else {
+            self.null();
+        }
+    }
+
+    /// A string, with quotes, backslashes and control characters
+    /// escaped.
+    pub fn str(&mut self, s: &str) {
+        self.out.push('"');
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let esc = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // Escapes are ASCII, so `run..i` splits on char boundaries.
+            self.out.push_str(&s[run..i]);
+            run = i + 1;
+            if esc.is_empty() {
+                let _ = write!(self.out, "\\u{b:04x}");
+            } else {
+                self.out.push_str(esc);
+            }
+        }
+        self.out.push_str(&s[run..]);
+        self.out.push('"');
+    }
+
+    /// Opens a container: `[` or `{`.
+    pub fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    /// Closes the innermost container: `]` or `}`.
+    pub fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.first {
+            self.newline();
+        }
+        // The enclosing container, if any, now holds this one.
+        self.first = false;
+        self.out.push(bracket);
+    }
+
+    /// Writes one array element.
+    pub fn item<T: Serialize + ?Sized>(&mut self, v: &T) {
+        self.next();
+        v.serialize(self);
+    }
+
+    /// Writes a whole array.
+    pub fn seq<I: IntoIterator<Item: Serialize>>(&mut self, items: I) {
+        self.open('[');
+        items.into_iter().for_each(|t| self.item(&t));
+        self.close(']');
+    }
+
+    /// Writes one map key (escaped); its value follows.
+    pub fn key(&mut self, k: &str) {
+        self.next();
+        self.str(k);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+    }
+
+    /// Writes one map entry whose key is a plain identifier (a field or
+    /// variant name), which needs no escaping.
+    pub fn field<T: Serialize + ?Sized>(&mut self, k: &str, v: &T) {
+        self.next();
+        self.out.push('"');
+        self.out.push_str(k);
+        self.out.push_str(if self.pretty { "\": " } else { "\":" });
+        v.serialize(self);
+    }
+
+    fn next(&mut self) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.newline();
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            (0..self.depth).for_each(|_| self.out.push_str("  "));
+        }
+    }
 }
 
 /// Deserialization from the [`Value`] data model.
@@ -150,8 +317,8 @@ pub trait Deserialize: Sized {
 macro_rules! impl_uint {
     ($($t:ty),+) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::U64(*self as u64)
+            fn serialize(&self, w: &mut JsonWriter) {
+                w.u64(*self as u64);
             }
         }
         impl Deserialize for $t {
@@ -177,8 +344,8 @@ macro_rules! impl_uint {
 macro_rules! impl_int {
     ($($t:ty),+) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::I64(*self as i64)
+            fn serialize(&self, w: &mut JsonWriter) {
+                w.i64(*self as i64);
             }
         }
         impl Deserialize for $t {
@@ -205,17 +372,6 @@ macro_rules! impl_int {
 impl_uint!(u8, u16, u32, u64, usize);
 impl_int!(i8, i16, i32, i64, isize);
 
-impl Serialize for u128 {
-    fn to_value(&self) -> Value {
-        // Values beyond u64 fall back to a decimal string so nothing is
-        // silently truncated; `Deserialize` below accepts both forms.
-        match u64::try_from(*self) {
-            Ok(n) => Value::U64(n),
-            Err(_) => Value::Str(self.to_string()),
-        }
-    }
-}
-
 impl Deserialize for u128 {
     fn from_value(v: &Value) -> Result<Self, Error> {
         match v {
@@ -228,15 +384,6 @@ impl Deserialize for u128 {
                 "expected unsigned integer, found {}",
                 other.kind()
             ))),
-        }
-    }
-}
-
-impl Serialize for i128 {
-    fn to_value(&self) -> Value {
-        match i64::try_from(*self) {
-            Ok(n) => Value::I64(n),
-            Err(_) => Value::Str(self.to_string()),
         }
     }
 }
@@ -257,12 +404,6 @@ impl Deserialize for i128 {
     }
 }
 
-impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
-    }
-}
-
 impl Deserialize for f64 {
     fn from_value(v: &Value) -> Result<Self, Error> {
         match *v {
@@ -278,36 +419,12 @@ impl Deserialize for f64 {
     }
 }
 
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(f64::from(*self))
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|f| f as f32)
-    }
-}
-
-impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
 impl Deserialize for bool {
     fn from_value(v: &Value) -> Result<Self, Error> {
         match *v {
             Value::Bool(b) => Ok(b),
             ref other => Err(Error::new(format!("expected bool, found {}", other.kind()))),
         }
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
     }
 }
 
@@ -323,42 +440,52 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let s = String::from_value(v)?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::new("expected single-character string")),
+/// Serialize impls whose body is one expression over `self` (bound to
+/// the first closure name) and the writer (the second).
+macro_rules! ser_with {
+    ($([$($gen:tt)*] $t:ty => |$s:ident, $w:ident| $body:expr;)+) => {$(
+        impl<$($gen)*> Serialize for $t {
+            fn serialize(&self, $w: &mut JsonWriter) {
+                let $s = self;
+                $body
+            }
         }
-    }
+    )+};
 }
 
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(t) => t.to_value(),
-            None => Value::Null,
-        }
-    }
+ser_with! {
+    [] bool => |b, w| w.bool(*b);
+    [] f64 => |f, w| w.f64(*f);
+    [] str => |s, w| w.str(s);
+    [] String => |s, w| w.str(s);
+    [] std::sync::Arc<str> => |s, w| w.str(s);
+    [T: Serialize + ?Sized] &T => |t, w| (**t).serialize(w);
+    [T: Serialize] Box<T> => |t, w| (**t).serialize(w);
+    [T: Serialize] Option<T> => |o, w| match o {
+        Some(t) => t.serialize(w),
+        None => w.null(),
+    };
+    // Beyond 64 bits an integer falls back to a decimal string, so
+    // nothing is silently truncated; `Deserialize` accepts both forms.
+    [] u128 => |n, w| match u64::try_from(*n) {
+        Ok(n) => w.u64(n),
+        Err(_) => w.str(&n.to_string()),
+    };
+    [] i128 => |n, w| match i64::try_from(*n) {
+        Ok(n) => w.i64(n),
+        Err(_) => w.str(&n.to_string()),
+    };
+    [V: Serialize] BTreeMap<String, V> => |m, w| {
+        w.open('{');
+        m.iter().for_each(|(k, v)| {
+            w.key(k);
+            v.serialize(w);
+        });
+        w.close('}');
+    };
+    [T: Serialize] Vec<T> => |v, w| w.seq(v);
+    [T: Serialize] VecDeque<T> => |v, w| w.seq(v);
+    [T: Serialize, const N: usize] [T; N] => |v, w| w.seq(v);
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -367,12 +494,6 @@ impl<T: Deserialize> Deserialize for Option<T> {
             Value::Null => Ok(None),
             other => T::from_value(other).map(Some),
         }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
     }
 }
 
@@ -388,21 +509,9 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for VecDeque<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
 impl<T: Deserialize> Deserialize for VecDeque<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Vec::<T>::from_value(v).map(VecDeque::from)
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
     }
 }
 
@@ -415,43 +524,15 @@ impl<T: Deserialize + fmt::Debug, const N: usize> Deserialize for [T; N] {
     }
 }
 
-impl Serialize for std::sync::Arc<str> {
-    fn to_value(&self) -> Value {
-        Value::Str(self.as_ref().to_owned())
-    }
-}
-
 impl Deserialize for std::sync::Arc<str> {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(std::sync::Arc::from(s.as_str())),
-            other => Err(Error::new(format!(
-                "expected string, found {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+        String::from_value(v).map(std::sync::Arc::from)
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
         T::from_value(v).map(Box::new)
-    }
-}
-
-impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
     }
 }
 
@@ -470,8 +551,10 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
 macro_rules! impl_tuple {
     ($(($($t:ident . $idx:tt),+)),+ $(,)?) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn serialize(&self, w: &mut JsonWriter) {
+                w.open('[');
+                $(w.item(&self.$idx);)+
+                w.close(']');
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -494,16 +577,10 @@ mod tests {
         q.extend([1, 2, 3, 4]);
         q.pop_front();
         q.push_back(5); // wrapped storage: serialization follows queue order
-        let v = q.to_value();
-        assert_eq!(
-            v,
-            Value::Array(vec![
-                Value::U64(2),
-                Value::U64(3),
-                Value::U64(4),
-                Value::U64(5)
-            ])
-        );
+        let mut w = JsonWriter::append_to(String::new(), false);
+        q.serialize(&mut w);
+        assert_eq!(w.finish(), "[2,3,4,5]");
+        let v = Value::Array((2..=5).map(Value::U64).collect());
         assert_eq!(VecDeque::<u32>::from_value(&v).unwrap(), q);
         assert!(VecDeque::<u32>::from_value(&Value::U64(1)).is_err());
     }

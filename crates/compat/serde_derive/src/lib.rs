@@ -56,7 +56,8 @@ enum Item {
     },
 }
 
-/// Derives `serde::Serialize` (the vendored `to_value` form).
+/// Derives `serde::Serialize` (the vendored `serialize` form: JSON
+/// appended to a `serde::JsonWriter`).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, gen_serialize)
@@ -303,83 +304,65 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
 // ---------------------------------------------------------------------------
 
 fn gen_serialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Named(names) => named_to_map(names, |f| format!("&self.{f}")),
-                Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-                Fields::Tuple(n) => tuple_to_array(*n, |idx| format!("&self.{idx}")),
-                Fields::Unit => "::serde::Value::Null".to_string(),
-            };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-                 }}"
-            )
-        }
+    let (name, body) = match item {
+        Item::Struct { name, fields } => match fields {
+            Fields::Named(names) => (name, named_to_map(names, |f| format!("&self.{f}"))),
+            Fields::Tuple(1) => (name, "::serde::Serialize::serialize(&self.0, w);".into()),
+            Fields::Tuple(n) => (name, tuple_to_array(*n, |idx| format!("&self.{idx}"))),
+            Fields::Unit => (name, "w.null();".into()),
+        },
         Item::Enum { name, variants } => {
-            let mut arms = String::new();
-            for v in variants {
-                let vname = &v.name;
-                match &v.fields {
-                    Fields::Unit => {
-                        arms.push_str(&format!(
-                            "{name}::{vname} => ::serde::Value::Str(::std::string::String::from({vname:?})),\n"
-                        ));
-                    }
-                    Fields::Named(fields) => {
-                        let pat: String = fields
-                            .iter()
-                            .filter(|f| !f.skip)
-                            .map(|f| format!("{}, ", f.name))
-                            .collect();
-                        let inner = named_to_map(fields, |f| f.to_string());
-                        arms.push_str(&format!(
-                            "{name}::{vname} {{ {pat}.. }} => ::serde::Value::Map(::std::vec![\
-                                 (::std::string::String::from({vname:?}), {inner})]),\n"
-                        ));
-                    }
-                    Fields::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                        let pat = binds.join(", ");
+            let arms: String = variants
+                .iter()
+                .map(|v| {
+                    let vname = &v.name;
+                    let (pat, inner) = match &v.fields {
+                        Fields::Unit => return format!("{name}::{vname} => w.str({vname:?}),\n"),
+                        Fields::Named(fields) => {
+                            let binds: String = fields
+                                .iter()
+                                .filter(|f| !f.skip)
+                                .map(|f| format!("{}, ", f.name))
+                                .collect();
+                            let inner = named_to_map(fields, |f| f.to_string());
+                            (format!("{{ {binds}.. }}"), inner)
+                        }
                         // Newtype variants serialize transparently (the
                         // real serde representation `{"Variant": value}`),
                         // matching the `Tuple(1)` deserialize arm; wider
                         // tuples become arrays.
-                        let inner = if *n == 1 {
-                            "::serde::Serialize::to_value(__f0)".to_string()
-                        } else {
-                            tuple_to_array(*n, |idx| format!("__f{idx}"))
-                        };
-                        arms.push_str(&format!(
-                            "{name}::{vname}({pat}) => ::serde::Value::Map(::std::vec![\
-                                 (::std::string::String::from({vname:?}), {inner})]),\n"
-                        ));
-                    }
-                }
-            }
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{ match self {{ {arms} }} }}\n\
-                 }}"
-            )
+                        Fields::Tuple(n) => {
+                            let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
+                            let inner = match n {
+                                1 => "::serde::Serialize::serialize(__f0, w);".into(),
+                                _ => tuple_to_array(*n, |idx| format!("__f{idx}")),
+                            };
+                            (format!("({})", binds.join(", ")), inner)
+                        }
+                    };
+                    format!(
+                        "{name}::{vname} {pat} => {{ \
+                             w.open('{{'); w.key({vname:?}); {inner} w.close('}}'); }}\n"
+                    )
+                })
+                .collect();
+            (name, format!("match self {{ {arms} }}"))
         }
-    }
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+             fn serialize(&self, w: &mut ::serde::JsonWriter) {{ {body} }}\n\
+         }}"
+    )
 }
 
 fn named_to_map(fields: &[FieldDef], access: impl Fn(&str) -> String) -> String {
-    let entries: Vec<String> = fields
+    let entries: String = fields
         .iter()
         .filter(|f| !f.skip)
-        .map(|f| {
-            let f = f.name.as_str();
-            format!(
-                "(::std::string::String::from({f:?}), ::serde::Serialize::to_value({}))",
-                access(f)
-            )
-        })
+        .map(|f| format!("w.field({:?}, {});", f.name, access(&f.name)))
         .collect();
-    format!("::serde::Value::Map(::std::vec![{}])", entries.join(", "))
+    format!("w.open('{{'); {entries} w.close('}}');")
 }
 
 /// One named-field initializer of the generated `from_value` body:
@@ -402,10 +385,10 @@ fn field_init(f: &FieldDef, src: &str) -> String {
 }
 
 fn tuple_to_array(n: usize, access: impl Fn(usize) -> String) -> String {
-    let entries: Vec<String> = (0..n)
-        .map(|idx| format!("::serde::Serialize::to_value({})", access(idx)))
+    let items: String = (0..n)
+        .map(|idx| format!("w.item({});", access(idx)))
         .collect();
-    format!("::serde::Value::Array(::std::vec![{}])", entries.join(", "))
+    format!("w.open('['); {items} w.close(']');")
 }
 
 fn gen_deserialize(item: &Item) -> String {

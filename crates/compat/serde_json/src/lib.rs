@@ -1,15 +1,16 @@
-//! Vendored stand-in for `serde_json`: JSON rendering and parsing over the
-//! [`serde::Value`] data model of the sibling vendored serde crate.
+//! Vendored stand-in for `serde_json`: JSON rendering through the
+//! [`serde::JsonWriter`] of the sibling vendored serde crate, and parsing
+//! into its [`serde::Value`] tree for [`Deserialize`].
 //!
 //! Supports exactly the entry points this workspace uses: [`to_string`],
 //! [`to_string_pretty`] and [`from_str`].
 
 #![forbid(unsafe_code)]
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 use std::fmt;
 
-/// Error produced by JSON serialization or parsing.
+/// Error produced by JSON parsing.
 #[derive(Debug, Clone)]
 pub struct Error(String);
 
@@ -33,27 +34,28 @@ impl From<serde::Error> for Error {
     }
 }
 
+fn write<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
+    let mut w = JsonWriter::append_to(String::new(), pretty);
+    value.serialize(&mut w);
+    w.finish()
+}
+
 /// Serializes `value` as a compact JSON string.
 ///
 /// # Errors
 ///
-/// Never fails for the value shapes this workspace produces; the
-/// `Result` mirrors the real serde_json signature.
-pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+/// Never fails: the `Result` mirrors the real serde_json signature.
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    Ok(write(value, false))
 }
 
 /// Serializes `value` as pretty-printed JSON (two-space indent).
 ///
 /// # Errors
 ///
-/// Never fails for the value shapes this workspace produces.
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+/// Never fails: the `Result` mirrors the real serde_json signature.
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    Ok(write(value, true))
 }
 
 /// Parses JSON text into a `T`.
@@ -72,88 +74,6 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
         return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
     }
     Ok(T::from_value(&value)?)
-}
-
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::F64(f) => {
-            if f.is_finite() {
-                // `{:?}` prints the shortest representation that parses
-                // back to the same f64, always with a decimal point or
-                // exponent, which keeps the value a JSON number.
-                out.push_str(&format!("{f:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_json_string(out, s),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_sep(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            if !items.is_empty() {
-                write_sep(out, indent, depth);
-            }
-            out.push(']');
-        }
-        Value::Map(fields) => {
-            out.push('{');
-            for (i, (k, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_sep(out, indent, depth + 1);
-                write_json_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            if !fields.is_empty() {
-                write_sep(out, indent, depth);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_sep(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(n) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', n * depth));
-    }
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---------------------------------------------------------------------------
@@ -407,6 +327,110 @@ mod tests {
         assert!(json.contains('\n'));
         let back: Vec<f64> = from_str(&json).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn integer_edges_print_exactly() {
+        assert_eq!(to_string(&u64::MAX).unwrap(), "18446744073709551615");
+        assert_eq!(to_string(&i64::MIN).unwrap(), "-9223372036854775808");
+        assert_eq!(to_string(&0u8).unwrap(), "0");
+        assert_eq!(to_string(&-1i32).unwrap(), "-1");
+        // Beyond 64 bits an integer is written as a decimal string.
+        let big = u128::from(u64::MAX) + 1;
+        assert_eq!(to_string(&big).unwrap(), "\"18446744073709551616\"");
+        assert_eq!(from_str::<u128>("\"18446744073709551616\"").unwrap(), big);
+        assert_eq!(
+            to_string(&u128::from(u64::MAX)).unwrap(),
+            "18446744073709551615"
+        );
+        assert_eq!(
+            to_string(&i128::MIN).unwrap(),
+            "\"-170141183460469231731687303715884105728\""
+        );
+    }
+
+    #[test]
+    fn float_edges_print_exactly() {
+        assert_eq!(to_string(&f64::NAN).unwrap(), "null");
+        assert_eq!(to_string(&f64::INFINITY).unwrap(), "null");
+        assert_eq!(to_string(&f64::NEG_INFINITY).unwrap(), "null");
+        assert_eq!(to_string(&-0.0f64).unwrap(), "-0.0");
+        assert_eq!(to_string(&1e300f64).unwrap(), "1e300");
+        assert_eq!(to_string(&5e-324f64).unwrap(), "5e-324");
+        assert_eq!(to_string(&[1.0f64, -2.5]).unwrap(), "[1.0,-2.5]");
+    }
+
+    #[test]
+    fn string_escapes_print_exactly() {
+        let s = "q\"b\\n\nr\rt\tc\u{1}λ—😀";
+        let json = to_string(&s).unwrap();
+        assert_eq!(json, r#""q\"b\\n\nr\rt\tc\u0001λ—😀""#);
+        assert_eq!(from_str::<String>(&json).unwrap(), s);
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Empty {}
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Shapes {
+        items: Vec<u64>,
+        empty: Empty,
+        some: Option<u32>,
+        none: Option<u32>,
+        nested: Vec<Nested>,
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    enum Nested {
+        Unit,
+        New(u8),
+        Pair(u8, i8),
+        Rec { x: u8, inner: Box<Nested> },
+    }
+
+    fn shapes() -> Shapes {
+        Shapes {
+            items: Vec::new(),
+            empty: Empty {},
+            some: Some(7),
+            none: None,
+            nested: vec![
+                Nested::Unit,
+                Nested::New(4),
+                Nested::Pair(5, -6),
+                Nested::Rec {
+                    x: 1,
+                    inner: Box::new(Nested::Rec {
+                        x: 2,
+                        inner: Box::new(Nested::Pair(3, -3)),
+                    }),
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn container_shapes_print_exactly() {
+        let v = shapes();
+        let compact = to_string(&v).unwrap();
+        assert_eq!(
+            compact,
+            r#"{"items":[],"empty":{},"some":7,"none":null,"nested":["Unit",{"New":4},{"Pair":[5,-6]},{"Rec":{"x":1,"inner":{"Rec":{"x":2,"inner":{"Pair":[3,-3]}}}}}]}"#
+        );
+        let pretty = to_string_pretty(&v).unwrap();
+        assert_eq!(
+            pretty,
+            "{\n  \"items\": [],\n  \"empty\": {},\n  \"some\": 7,\n  \"none\": null,\n  \
+             \"nested\": [\n    \"Unit\",\n    {\n      \"New\": 4\n    },\n    {\n      \
+             \"Pair\": [\n        5,\n        -6\n      ]\n    },\n    {\n      \"Rec\": {\n        \
+             \"x\": 1,\n        \"inner\": {\n          \"Rec\": {\n            \"x\": 2,\n            \
+             \"inner\": {\n              \"Pair\": [\n                3,\n                -3\n              \
+             ]\n            }\n          }\n        }\n      }\n    }\n  ]\n}"
+        );
+        assert_eq!(from_str::<Shapes>(&compact).unwrap(), v);
+        assert_eq!(from_str::<Shapes>(&pretty).unwrap(), v);
+        assert_eq!(to_string_pretty(&Vec::<u8>::new()).unwrap(), "[]");
+        assert_eq!(to_string_pretty(&Empty {}).unwrap(), "{}");
     }
 
     #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]

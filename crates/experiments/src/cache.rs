@@ -46,7 +46,7 @@
 use crate::fault::{Backoff, Fs, RealFs};
 use crate::spec::ScenarioSpec;
 use a4_core::RunReport;
-use serde::Deserialize;
+use serde::{Deserialize, JsonWriter, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -78,37 +78,48 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
 /// task ids both use this, so every on-disk artifact keys on the same
 /// *(code version, content)* pair — and the store envelope reuses it as
 /// the payload checksum.
+// a4-lint: allow-fn(counter-safety) -- FNV-1a is a hash: modular wrap-around is the mixing step, not a counter
 pub(crate) fn content_key(payload: &str) -> String {
-    let lo = fnv1a(fnv1a(FNV_OFFSET, CODE_SALT.as_bytes()), payload.as_bytes());
-    // Second stream: different seed, salt appended, so the two halves
-    // are not trivially correlated.
-    let hi = fnv1a(
-        fnv1a(FNV_OFFSET ^ 0x5bd1_e995_9d3a_c1f7, payload.as_bytes()),
-        CODE_SALT.as_bytes(),
-    );
+    // Low half: salt, then payload. High half: a different seed,
+    // payload, then salt, so the halves are not trivially correlated.
+    // Both streams walk the payload in one pass.
+    let mut lo = fnv1a(FNV_OFFSET, CODE_SALT.as_bytes());
+    let mut hi = FNV_OFFSET ^ 0x5bd1_e995_9d3a_c1f7;
+    for &b in payload.as_bytes() {
+        lo = (lo ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        hi = (hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    let hi = fnv1a(hi, CODE_SALT.as_bytes());
     format!("{hi:016x}{lo:016x}")
 }
 
 /// Content hash of one experiment cell: [`content_key`] over the spec's
-/// JSON form.
-///
-/// # Panics
-///
-/// Panics if the spec fails to serialize (specs are plain data; this
-/// cannot happen for constructible specs).
+/// compact JSON form.
 pub fn spec_key(spec: &ScenarioSpec) -> String {
-    // a4-lint: allow(panic-unwrap) -- specs are plain data (no maps, no non-string keys), so serialization is infallible for constructible specs; the infallible key signature is load-bearing across the store, queue and service
-    content_key(&serde_json::to_string(spec).expect("specs serialize"))
+    let mut w = JsonWriter::append_to(String::new(), false);
+    spec.serialize(&mut w);
+    content_key(&w.finish())
 }
 
-/// Wraps the serialized `payload` in the checksummed store envelope
+/// The envelope's opening up to the checksum digits.
+const SEAL_HEAD: &str = "{\"payload_fnv\":\"";
+
+/// Serializes `payload` inside the checksummed store envelope
 /// `{"payload_fnv":"<content key of payload>","<field>":<payload>}` — the
-/// on-disk form of both [`ResultCache`] entries and checkpoints.
-pub(crate) fn seal(field: &str, payload: &str) -> String {
-    format!(
-        "{{\"payload_fnv\":\"{}\",\"{field}\":{payload}}}",
-        content_key(payload)
-    )
+/// on-disk form of both [`ResultCache`] entries and checkpoints. The
+/// payload is written once, straight into the envelope, and its key is
+/// patched over a placeholder.
+pub(crate) fn seal(field: &str, payload: &impl Serialize) -> String {
+    // 32 zeros hold the key's place until the payload is written.
+    let head = format!("{SEAL_HEAD}{:032}\",\"{field}\":", 0);
+    let start = head.len();
+    let mut w = JsonWriter::append_to(head, false);
+    payload.serialize(&mut w);
+    let mut sealed = w.finish();
+    let key = content_key(&sealed[start..]);
+    sealed.replace_range(SEAL_HEAD.len()..SEAL_HEAD.len() + key.len(), &key);
+    sealed.push('}');
+    sealed
 }
 
 /// Why [`open`] refused an envelope.
@@ -126,9 +137,7 @@ pub(crate) enum Unsealed {
 /// a flipped bit, inserted whitespace — fails the check even where it
 /// would parse to the same value.
 pub(crate) fn open<T: Deserialize>(field: &str, sealed: &str) -> Result<T, Unsealed> {
-    let rest = sealed
-        .strip_prefix("{\"payload_fnv\":\"")
-        .ok_or(Unsealed::Malformed)?;
+    let rest = sealed.strip_prefix(SEAL_HEAD).ok_or(Unsealed::Malformed)?;
     let (fnv, rest) = rest.split_once("\",\"").ok_or(Unsealed::Malformed)?;
     let payload = rest
         .strip_prefix(field)
@@ -347,10 +356,7 @@ impl ResultCache {
     /// process.
     pub fn store(&self, key: &str, report: &RunReport) {
         self.simulated.fetch_add(1, Ordering::Relaxed);
-        let envelope = match serde_json::to_string(report) {
-            Ok(json) => seal("report", &json),
-            Err(_) => return,
-        };
+        let envelope = seal("report", report);
         let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = self
             .dir

@@ -158,10 +158,7 @@ impl CkptStore {
     /// per-writer temp file first and is moved into place atomically;
     /// each filesystem step retries with [`Backoff::fabric`] on its own.
     pub fn save(&self, ckpt: &CellCkpt) {
-        let envelope = match serde_json::to_string(ckpt) {
-            Ok(json) => seal("ckpt", &json),
-            Err(_) => return,
-        };
+        let envelope = seal("ckpt", ckpt);
         let seq = CKPT_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = self.dir.join(format!(
             ".{}.{}.{seq}.tmp",

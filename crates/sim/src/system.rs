@@ -926,14 +926,21 @@ impl System {
     /// devices attached and workloads registered, in the same order.
     /// Returns `false` — leaving this system in its pre-call state — if
     /// the snapshot's version, configuration, device ids and
-    /// configurations or component counts do not match, or if a workload
-    /// engine rejects its encoding.
+    /// configurations or component counts do not match, if a cache's
+    /// storage disagrees with its geometry (LLC and MLC set counts, the
+    /// MLC count, requester-cache slots), or if a workload engine
+    /// rejects its encoding.
     pub fn restore_state(&mut self, st: &SystemState) -> bool {
         if st.version != SYSTEM_CKPT_VERSION
             || st.cfg != self.cfg
             || st.socks.len() != self.socks.len()
+            || st.socks.iter().any(|h| !h.fits(&self.cfg.hierarchy))
             || st.upi.links().len() != self.upi.links().len()
             || st.rcaches.len() != self.rcaches.len()
+            || st
+                .rcaches
+                .iter()
+                .any(|rc| rc.capacity() != self.cfg.remote_cache_lines)
             || st.devices.len() != self.devices.len()
             || st
                 .devices
@@ -1501,6 +1508,64 @@ mod tests {
             assert!(!target.restore_state(&donor));
             assert_eq!(serde_json::to_string(&target.save_state()).unwrap(), before);
         }
+    }
+
+    /// `json` with the first element of the first array that opens at
+    /// `array` (searched from the first occurrence of `within`) removed.
+    fn drop_first_element(json: &str, within: &str, array: &str) -> String {
+        let start = json.find(within).unwrap();
+        let open = start + json[start..].find(array).unwrap() + array.len();
+        let mut depth = 0i32;
+        let end = json[open..]
+            .char_indices()
+            .find_map(|(i, c)| {
+                match c {
+                    '{' | '[' => depth += 1,
+                    '}' | ']' => depth -= 1,
+                    ',' if depth == 0 => return Some(open + i + 1),
+                    _ => {}
+                }
+                None
+            })
+            .unwrap();
+        format!("{}{}", &json[..open], &json[end..])
+    }
+
+    /// A snapshot whose cache storage disagrees with its geometry parses
+    /// and passes the configuration check; restoring it must fail with
+    /// the system untouched instead of panicking in the next quantum.
+    #[test]
+    fn restore_rejects_cache_storage_that_disagrees_with_its_geometry() {
+        let mut s = sys();
+        let base = s.alloc_lines(64);
+        s.add_workload(
+            Box::new(Streamer {
+                base,
+                lines: 64,
+                cursor: 0,
+            }),
+            vec![CoreId(0)],
+            Priority::High,
+        )
+        .unwrap();
+        s.run_quanta(3);
+        let json = serde_json::to_string(&s.save_state()).unwrap();
+        s.run_quanta(2);
+        let before = serde_json::to_string(&s.save_state()).unwrap();
+        for (within, array) in [
+            ("\"llc\":{", "\"sets\":["),
+            ("\"mlcs\":[", "\"sets\":["),
+            ("\"mlcs\":", "["),
+            ("\"rcaches\":[", "\"slots\":["),
+        ] {
+            let bad = drop_first_element(&json, within, array);
+            assert!(bad.len() < json.len(), "{within} {array}");
+            let bad: SystemState = serde_json::from_str(&bad).unwrap();
+            assert!(!s.restore_state(&bad), "{within} {array}");
+            assert_eq!(serde_json::to_string(&s.save_state()).unwrap(), before);
+        }
+        let good: SystemState = serde_json::from_str(&json).unwrap();
+        assert!(s.restore_state(&good));
     }
 
     #[test]
