@@ -5,9 +5,11 @@
 //! [`Deserialize`] traits plus their derive macros (re-exported from the
 //! sibling `serde_derive` proc-macro crate). Instead of serde's visitor
 //! architecture, [`Serialize`] appends JSON straight into a
-//! [`JsonWriter`] (no intermediate tree: a multi-megabyte checkpoint
-//! costs one growing `String`), and [`Deserialize`] reads a
-//! self-describing [`Value`] tree parsed by `serde_json::from_str`.
+//! [`JsonWriter`] (no intermediate tree), and [`Deserialize`] reads a
+//! self-describing [`Value`] tree parsed by `serde_json::from_str`. A
+//! spilling writer hands its buffer to a sink every [`SPILL_CHUNK`]
+//! bytes, so a multi-megabyte checkpoint streams through a fixed
+//! buffer instead of growing one `String`.
 //!
 //! Only plain `#[derive(Serialize, Deserialize)]` plus two named-field
 //! attributes are supported: `#[serde(default)]`, which schema evolution
@@ -131,19 +133,29 @@ pub trait Serialize {
     fn serialize(&self, w: &mut JsonWriter);
 }
 
+/// Where a spilling [`JsonWriter`] hands each full chunk of output.
+pub type Spill = Box<dyn FnMut(&str)>;
+
+/// The buffer size past which a spilling [`JsonWriter`] hands its output
+/// to the sink, at the next element boundary.
+pub const SPILL_CHUNK: usize = 64 * 1024;
+
 /// An append-only JSON emitter over a `String`, compact or pretty
 /// (two-space indent, `": "` after keys, empty containers as `[]`/`{}`).
 /// A container is bracketed by [`JsonWriter::open`] and
 /// [`JsonWriter::close`]; [`JsonWriter::item`], [`JsonWriter::key`] and
 /// [`JsonWriter::field`] place the separators. Nothing but the output
 /// buffer is ever allocated.
-#[derive(Debug)]
 pub struct JsonWriter {
     out: String,
     pretty: bool,
     depth: usize,
     /// No element written yet in the innermost open container.
     first: bool,
+    /// The buffer length that triggers a spill (`usize::MAX` when
+    /// appending).
+    spill_at: usize,
+    sink: Option<Spill>,
 }
 
 impl JsonWriter {
@@ -155,12 +167,41 @@ impl JsonWriter {
             pretty,
             depth: 0,
             first: true,
+            spill_at: usize::MAX,
+            sink: None,
         }
     }
 
-    /// The output buffer.
-    pub fn finish(self) -> String {
+    /// A writer that hands its output to `sink` in chunks: once the
+    /// buffer passes [`SPILL_CHUNK`] bytes, the next element boundary
+    /// spills it, and [`JsonWriter::finish`] spills the rest. The
+    /// concatenated chunks are exactly the bytes an appending writer
+    /// would build.
+    pub fn spilling(pretty: bool, sink: Spill) -> Self {
+        JsonWriter {
+            // Room for one element past the threshold, so the buffer
+            // never regrows.
+            out: String::with_capacity(SPILL_CHUNK + SPILL_CHUNK / 8),
+            spill_at: SPILL_CHUNK,
+            sink: Some(sink),
+            ..JsonWriter::append_to(String::new(), pretty)
+        }
+    }
+
+    /// The output buffer; a spilling writer first hands what is left of
+    /// it to its sink, and returns it empty.
+    pub fn finish(mut self) -> String {
+        self.spill();
         self.out
+    }
+
+    fn spill(&mut self) {
+        if let Some(sink) = &mut self.sink {
+            if !self.out.is_empty() {
+                sink(&self.out);
+                self.out.clear();
+            }
+        }
     }
 
     /// `null`.
@@ -289,6 +330,9 @@ impl JsonWriter {
     }
 
     fn next(&mut self) {
+        if self.out.len() >= self.spill_at {
+            self.spill();
+        }
         if !self.first {
             self.out.push(',');
         }

@@ -3,12 +3,15 @@
 //! into its [`serde::Value`] tree for [`Deserialize`].
 //!
 //! Supports exactly the entry points this workspace uses: [`to_string`],
-//! [`to_string_pretty`] and [`from_str`].
+//! [`to_string_pretty`], [`to_writer`] and [`from_str`].
 
 #![forbid(unsafe_code)]
 
 use serde::{Deserialize, JsonWriter, Serialize, Value};
+use std::cell::RefCell;
 use std::fmt;
+use std::io;
+use std::rc::Rc;
 
 /// Error produced by JSON parsing.
 #[derive(Debug, Clone)]
@@ -56,6 +59,40 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 /// Never fails: the `Result` mirrors the real serde_json signature.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(write(value, true))
+}
+
+/// Streams `value` as compact JSON into `writer` through a spilling
+/// [`JsonWriter`], so the output is never held whole, and hands the
+/// writer back. The bytes are exactly [`to_string`]'s.
+///
+/// # Errors
+///
+/// The first error `writer` returns; no byte is written after it.
+pub fn to_writer<W, T>(writer: W, value: &T) -> io::Result<W>
+where
+    W: io::Write + 'static,
+    T: Serialize + ?Sized,
+{
+    // The writer's sink must own what it writes to, so the sink and
+    // this function share the writer and its first error.
+    let shared = Rc::new(RefCell::new((writer, Ok(()))));
+    let sink = Rc::clone(&shared);
+    let mut w = JsonWriter::spilling(
+        false,
+        Box::new(move |chunk: &str| {
+            let (writer, status) = &mut *sink.borrow_mut();
+            if status.is_ok() {
+                *status = writer.write_all(chunk.as_bytes());
+            }
+        }),
+    );
+    value.serialize(&mut w);
+    // Finishing drops the sink, so `shared` is the last handle.
+    w.finish();
+    let (writer, status) = Rc::into_inner(shared)
+        .expect("the finished writer dropped its sink")
+        .into_inner();
+    status.map(|()| writer)
 }
 
 /// Parses JSON text into a `T`.

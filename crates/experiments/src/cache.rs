@@ -43,10 +43,11 @@
 //! `fs-seam` lint rule), so chaos tests drive these paths with a
 //! seeded [`crate::fault::FaultFs`].
 
-use crate::fault::{Backoff, Fs, RealFs};
+use crate::fault::{Backoff, Fs, RealFs, Sink};
 use crate::spec::ScenarioSpec;
 use a4_core::RunReport;
 use serde::{Deserialize, JsonWriter, Serialize};
+use std::io::{self, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -78,19 +79,63 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
 /// task ids both use this, so every on-disk artifact keys on the same
 /// *(code version, content)* pair — and the store envelope reuses it as
 /// the payload checksum.
-// a4-lint: allow-fn(counter-safety) -- FNV-1a is a hash: modular wrap-around is the mixing step, not a counter
 pub(crate) fn content_key(payload: &str) -> String {
-    // Low half: salt, then payload. High half: a different seed,
-    // payload, then salt, so the halves are not trivially correlated.
-    // Both streams walk the payload in one pass.
-    let mut lo = fnv1a(FNV_OFFSET, CODE_SALT.as_bytes());
-    let mut hi = FNV_OFFSET ^ 0x5bd1_e995_9d3a_c1f7;
-    for &b in payload.as_bytes() {
-        lo = (lo ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        hi = (hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    let mut key = KeyStream::new();
+    key.update(payload.as_bytes());
+    key.finish()
+}
+
+/// The two FNV-1a streams of [`content_key`], fed as the payload's bytes
+/// arrive: any chunking of the same bytes gives the same key.
+#[derive(Debug, Clone, Copy)]
+struct KeyStream {
+    lo: u64,
+    hi: u64,
+}
+
+impl KeyStream {
+    fn new() -> Self {
+        // Low half: salt, then payload. High half: a different seed,
+        // payload, then salt, so the halves are not trivially correlated.
+        KeyStream {
+            lo: fnv1a(FNV_OFFSET, CODE_SALT.as_bytes()),
+            hi: FNV_OFFSET ^ 0x5bd1_e995_9d3a_c1f7,
+        }
     }
-    let hi = fnv1a(hi, CODE_SALT.as_bytes());
-    format!("{hi:016x}{lo:016x}")
+
+    // a4-lint: allow-fn(counter-safety) -- FNV-1a is a hash: modular wrap-around is the mixing step, not a counter
+    fn update(&mut self, bytes: &[u8]) {
+        // Both streams walk the bytes in one pass.
+        let KeyStream { mut lo, mut hi } = *self;
+        for &b in bytes {
+            lo = (lo ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            hi = (hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        *self = KeyStream { lo, hi };
+    }
+
+    fn finish(self) -> String {
+        let hi = fnv1a(self.hi, CODE_SALT.as_bytes());
+        format!("{hi:016x}{:016x}", self.lo)
+    }
+}
+
+/// A writer that feeds every byte it passes on into a [`KeyStream`].
+struct Keyed<W> {
+    key: KeyStream,
+    out: W,
+}
+
+impl<W: Write> Write for Keyed<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.out.write(buf)?;
+        self.key.update(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
 }
 
 /// Content hash of one experiment cell: [`content_key`] over the spec's
@@ -104,22 +149,66 @@ pub fn spec_key(spec: &ScenarioSpec) -> String {
 /// The envelope's opening up to the checksum digits.
 const SEAL_HEAD: &str = "{\"payload_fnv\":\"";
 
-/// Serializes `payload` inside the checksummed store envelope
+/// Streams `payload` inside the checksummed store envelope
 /// `{"payload_fnv":"<content key of payload>","<field>":<payload>}` — the
-/// on-disk form of both [`ResultCache`] entries and checkpoints. The
-/// payload is written once, straight into the envelope, and its key is
-/// patched over a placeholder.
-pub(crate) fn seal(field: &str, payload: &impl Serialize) -> String {
+/// on-disk form of both [`ResultCache`] entries and checkpoints — into
+/// the fresh `sink`, and hands the sink back. The payload passes through
+/// the key's hasher on its way to the sink in bounded chunks, and its key
+/// is patched over a placeholder, so it is never held whole.
+pub(crate) fn seal(
+    mut sink: Box<dyn Sink>,
+    field: &str,
+    payload: &impl Serialize,
+) -> io::Result<Box<dyn Sink>> {
     // 32 zeros hold the key's place until the payload is written.
-    let head = format!("{SEAL_HEAD}{:032}\",\"{field}\":", 0);
-    let start = head.len();
-    let mut w = JsonWriter::append_to(head, false);
-    payload.serialize(&mut w);
-    let mut sealed = w.finish();
-    let key = content_key(&sealed[start..]);
-    sealed.replace_range(SEAL_HEAD.len()..SEAL_HEAD.len() + key.len(), &key);
-    sealed.push('}');
-    sealed
+    write!(sink, "{SEAL_HEAD}{:032}\",\"{field}\":", 0)?;
+    let keyed = Keyed {
+        key: KeyStream::new(),
+        out: sink,
+    };
+    let Keyed { key, mut out } = serde_json::to_writer(keyed, payload)?;
+    out.write_all(b"}")?;
+    out.seek(SeekFrom::Start(SEAL_HEAD.len() as u64))?;
+    out.write_all(key.finish().as_bytes())?;
+    Ok(out)
+}
+
+/// Distinguishes concurrent [`publish`] calls for the *same* key within
+/// one process (duplicate specs across sweep threads), so each writer
+/// owns a unique temp file.
+static PUBLISH_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Seals `payload` into a per-writer temp file in `dir`, then renames it
+/// to `dest`: the atomic write behind both [`ResultCache::store`] and
+/// [`crate::supervise::CkptStore::save`], so an interrupted writer never
+/// leaves a torn entry. Each filesystem step retries with
+/// [`Backoff::fabric`] on its own (every retry counted into `retries`):
+/// a fault budget that guarantees any *single* operation eventually
+/// succeeds then guarantees the whole write does, where retrying the
+/// write+rename compound would let alternating faults exhaust it. A
+/// failed write removes its temp file.
+pub(crate) fn publish(
+    fs: &dyn Fs,
+    dir: &Path,
+    key: &str,
+    dest: &Path,
+    field: &str,
+    payload: &impl Serialize,
+    retries: &mut u64,
+) -> io::Result<()> {
+    let seq = PUBLISH_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{key}.{}.{seq}.tmp", std::process::id()));
+    let backoff = Backoff::fabric();
+    let result = backoff
+        .retry(retries, || {
+            fs.create_dir_all(dir)
+                .and_then(|()| fs.write_with(&tmp, &mut |sink| seal(sink, field, payload)))
+        })
+        .and_then(|()| backoff.retry(retries, || fs.rename(&tmp, dest)));
+    if result.is_err() {
+        fs.remove_file(&tmp).ok();
+    }
+    result
 }
 
 /// Why [`open`] refused an envelope.
@@ -182,11 +271,6 @@ pub struct ResultCache {
     quarantined: Arc<AtomicU64>,
     warned: Arc<AtomicBool>,
 }
-
-/// Distinguishes concurrent `store` calls for the *same* key within one
-/// process (duplicate specs across sweep threads), so each writer owns a
-/// unique temp file.
-static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl ResultCache {
     /// A cache rooted at `dir` (created lazily on first store).
@@ -344,37 +428,25 @@ impl ResultCache {
     /// permissions degrade to "no cache", never to a failed sweep — but
     /// *counted* degradation, see [`ResultCache::write_failures`]).
     ///
-    /// The write goes to a per-writer temp file first and is moved into
-    /// place atomically, so concurrent sweep threads and interrupted
-    /// runs can never leave a torn entry behind; a failed write cleans
-    /// its temp file up. Transient failures retry with
-    /// [`Backoff::fabric`] — each filesystem step retries on its own,
-    /// so a fault budget that guarantees any *single* operation
-    /// eventually succeeds guarantees the whole store does (retrying
-    /// the write+rename compound would let alternating faults exhaust
-    /// the budget). A store that stays down is warned about once per
-    /// process.
+    /// The entry is streamed to a temp file and renamed into place
+    /// ([`publish`]), so concurrent sweep threads and interrupted runs
+    /// can never leave a torn entry behind. A store that stays down is
+    /// warned about once per process.
     pub fn store(&self, key: &str, report: &RunReport) {
         self.simulated.fetch_add(1, Ordering::Relaxed);
-        let envelope = seal("report", report);
-        let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .dir
-            .join(format!(".{key}.{}.{seq}.tmp", std::process::id()));
         let mut retries = 0;
-        let backoff = Backoff::fabric();
-        let result = backoff
-            .retry(&mut retries, || {
-                self.fs
-                    .create_dir_all(&self.dir)
-                    .and_then(|()| self.fs.write(&tmp, envelope.as_bytes()))
-            })
-            .and_then(|()| {
-                backoff.retry(&mut retries, || self.fs.rename(&tmp, &self.path_of(key)))
-            });
+        let dest = self.path_of(key);
+        let result = publish(
+            &*self.fs,
+            &self.dir,
+            key,
+            &dest,
+            "report",
+            report,
+            &mut retries,
+        );
         self.store_retries.fetch_add(retries, Ordering::Relaxed);
         if let Err(e) = result {
-            self.fs.remove_file(&tmp).ok();
             self.write_failures.fetch_add(1, Ordering::Relaxed);
             if !self.warned.swap(true, Ordering::Relaxed) {
                 eprintln!(
@@ -416,6 +488,73 @@ mod tests {
         assert_eq!(spec_key(&a), spec_key(&a), "pure function of the spec");
         assert_ne!(spec_key(&a), spec_key(&b), "seed is part of the key");
         assert_eq!(spec_key(&a).len(), 32);
+    }
+
+    /// [`KeyStream`] fed `bytes` in chunks of the given sizes, cycled.
+    fn key_in_chunks(bytes: &[u8], sizes: &[usize]) -> String {
+        let mut key = KeyStream::new();
+        let (mut at, mut i) = (0, 0);
+        while at < bytes.len() {
+            let end = (at + sizes[i % sizes.len()]).min(bytes.len());
+            key.update(&bytes[at..end]);
+            (at, i) = (end, i + 1);
+        }
+        key.finish()
+    }
+
+    #[test]
+    fn incremental_keys_match_whole_payload_keys() {
+        let payload = serde_json::to_string(&ScenarioSpec::microbench(RunOpts::quick())).unwrap()
+            + "\"héllo — ✓\"";
+        let whole = content_key(&payload);
+        let bytes = payload.as_bytes();
+        // A split one byte into the two-byte `é`.
+        let inside = payload.find('é').unwrap() + 1;
+        assert!(!payload.is_char_boundary(inside));
+        for sizes in [
+            &[1][..],
+            &[2],
+            &[3, 5, 7],
+            &[64],
+            &[4096],
+            &[inside, 1, 1000],
+            &[inside, bytes.len()],
+            &[bytes.len()],
+        ] {
+            assert_eq!(key_in_chunks(bytes, sizes), whole, "chunk sizes {sizes:?}");
+        }
+        // Pseudo-random chunkings (SplitMix-style strides, 1..=97 bytes).
+        for seed in 1..=16u64 {
+            let sizes: Vec<usize> = (0..64u64)
+                .map(|i| (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i.wrapping_mul(31)) % 97 + 1)
+                .map(|n| n as usize)
+                .collect();
+            assert_eq!(key_in_chunks(bytes, &sizes), whole, "seed {seed}");
+        }
+        assert_eq!(key_in_chunks(b"", &[1]), content_key(""));
+    }
+
+    #[test]
+    fn a_sealed_envelope_is_header_key_and_payload() {
+        let dir = tmp_dir("seal");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sealed");
+        let scenario = ScenarioSpec::microbench(RunOpts::quick()).build().unwrap();
+        let state = scenario.harness.system().save_state();
+        RealFs
+            .write_with(&path, &mut |sink| seal(sink, "ckpt", &state))
+            .unwrap();
+        let payload = serde_json::to_string(&state).unwrap();
+        let expected = format!(
+            "{{\"payload_fnv\":\"{}\",\"ckpt\":{payload}}}",
+            content_key(&payload)
+        );
+        assert!(
+            payload.len() > 2 * serde::SPILL_CHUNK,
+            "spans several chunks"
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! leases, poisoned tasks) into the one-line summary the CLI prints.
 
 use std::fmt;
-use std::io;
+use std::io::{self, BufWriter, Seek, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,8 +43,17 @@ use std::time::{Duration, SystemTime};
 /// Implementations must be shareable across the sweep threads
 /// (`Send + Sync`); [`RealFs`] delegates straight to `std::fs`.
 pub trait Fs: fmt::Debug + Send + Sync {
+    /// Writes what `produce` writes into the [`Sink`] it is handed to
+    /// `path`, replacing any existing file. The producer hands the sink
+    /// back when it is done; a retry calls it again on a fresh sink.
+    fn write_with(&self, path: &Path, produce: &mut Producer<'_>) -> io::Result<()>;
+
     /// Writes `contents` to `path`, replacing any existing file.
-    fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()>;
+    fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
+        self.write_with(path, &mut |mut sink| {
+            sink.write_all(contents).map(|()| sink)
+        })
+    }
 
     /// Renames `from` to `to` (the fabric's atomicity primitive).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
@@ -72,13 +81,22 @@ pub trait Fs: fmt::Debug + Send + Sync {
     fn exists(&self, path: &Path) -> bool;
 }
 
+/// A seekable byte sink, the target of [`Fs::write_with`].
+pub trait Sink: Write + Seek {}
+
+impl<T: Write + Seek> Sink for T {}
+
+/// What [`Fs::write_with`] runs: it fills the sink and hands it back.
+pub type Producer<'a> = dyn FnMut(Box<dyn Sink>) -> io::Result<Box<dyn Sink>> + 'a;
+
 /// The production [`Fs`]: plain `std::fs` calls.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealFs;
 
 impl Fs for RealFs {
-    fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
-        std::fs::write(path, contents)
+    fn write_with(&self, path: &Path, produce: &mut Producer<'_>) -> io::Result<()> {
+        let file = BufWriter::new(std::fs::File::create(path)?);
+        produce(Box::new(file))?.flush()
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -287,16 +305,20 @@ fn parse_seed(raw: &str) -> Option<u64> {
 }
 
 impl Fs for FaultFs {
-    fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
+    fn write_with(&self, path: &Path, produce: &mut Producer<'_>) -> io::Result<()> {
         match self.decide() {
-            Verdict::Proceed => self.inner.write(path, contents),
+            Verdict::Proceed => self.inner.write_with(path, produce),
             Verdict::Fail => {
-                // Half the failures are torn: a prefix lands before the
-                // error, exactly what a crash mid-write leaves on disk.
+                // Half the failures are torn: the first half of the
+                // bytes the producer wrote lands before the error (an
+                // empty write tears to an empty file), exactly what a
+                // crash mid-write leaves on disk. A disk-full failure
+                // writes nothing.
                 let word = splitmix64(self.plan.seed ^ self.injected());
-                if word & 1 == 1 && !contents.is_empty() {
-                    let torn = &contents[..contents.len() / 2];
-                    self.inner.write(path, torn).ok();
+                if word & 1 == 1 {
+                    self.inner.write_with(path, produce)?;
+                    let file = std::fs::OpenOptions::new().write(true).open(path)?;
+                    file.set_len(file.metadata()?.len() / 2)?;
                     Err(self.injected_error("torn write"))
                 } else {
                     Err(self.injected_error("write failed (disk full)"))
@@ -304,7 +326,7 @@ impl Fs for FaultFs {
             }
             Verdict::Crash(applied) => {
                 if applied {
-                    self.inner.write(path, contents).ok();
+                    self.inner.write_with(path, produce).ok();
                 }
                 Err(self.injected_error("crash during write"))
             }
@@ -581,6 +603,67 @@ mod tests {
         );
         let (c, _, _) = run(0x77);
         assert_ne!(a, c, "different seed, different schedule");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes `contents` the way the store seal does: a placeholder
+    /// first, the rest in small pieces, then a seek back to patch the
+    /// placeholder.
+    fn streamed(contents: &[u8]) -> impl FnMut(Box<dyn Sink>) -> io::Result<Box<dyn Sink>> + '_ {
+        move |mut sink| {
+            let head = contents.len().min(4);
+            sink.write_all(&vec![b'0'; head])?;
+            for piece in contents[head..].chunks(3) {
+                sink.write_all(piece)?;
+            }
+            sink.seek(io::SeekFrom::Start(0))?;
+            sink.write_all(&contents[..head])?;
+            Ok(sink)
+        }
+    }
+
+    #[test]
+    fn streamed_and_slice_writes_fail_alike() {
+        let dir = tmp("streamed");
+        let contents = b"{\"payload_fnv\":\"0123\",\"x\":[1,2,3,4,5]}";
+        // One op sequence under each form, same seeds: per op, the error
+        // (or success) and what landed on disk.
+        let run = |n: usize, plan: FaultPlan, form: &str| {
+            let fs = FaultFs::new(plan);
+            (0..64)
+                .map(|i| {
+                    let path = dir.join(format!("{form}-{n}-{i}"));
+                    let result = if form == "slice" {
+                        fs.write(&path, contents)
+                    } else {
+                        fs.write_with(&path, &mut streamed(contents))
+                    };
+                    (result.map_err(|e| e.to_string()), std::fs::read(&path).ok())
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut seen = [false; 4];
+        let plans =
+            (0..8u64).flat_map(|seed| [FaultPlan::chaos(seed), FaultPlan::crash_only(seed, 3)]);
+        for (n, plan) in plans.enumerate() {
+            let slice = run(n, plan, "slice");
+            assert_eq!(slice, run(n, plan, "streamed"), "{plan:?}");
+            for (result, landed) in slice {
+                let landed = landed.as_deref();
+                let (case, ok) = match result.as_ref().map_err(String::as_str) {
+                    Ok(()) => (0, landed == Some(&contents[..])),
+                    Err("injected fault: torn write") => {
+                        (1, landed == Some(&contents[..contents.len() / 2]))
+                    }
+                    Err("injected fault: write failed (disk full)") => (2, landed.is_none()),
+                    // A crash lands everything or nothing.
+                    Err(_) => (3, landed.is_none() || landed == Some(&contents[..])),
+                };
+                assert!(ok, "{result:?} left {landed:?}");
+                seen[case] = true;
+            }
+        }
+        assert_eq!(seen, [true; 4], "every outcome exercised");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -757,7 +757,7 @@ impl ScenarioSpec {
             .enumerate()
             .map(|(i, d)| DeviceBinding {
                 name: d.name.clone(),
-                id: DeviceId(i as u8),
+                id: DeviceId(u8::try_from(i).expect("validate caps a spec at MAX_DEVICES devices")),
             })
             .collect();
         (workloads, devices)
@@ -911,6 +911,13 @@ impl ScenarioSpec {
                     o.socket
                 )));
             }
+        }
+        if self.devices.len() > a4_cache::MAX_DEVICES {
+            return Err(SpecError::Invalid(format!(
+                "{} devices, but the stats table has rows for {}",
+                self.devices.len(),
+                a4_cache::MAX_DEVICES
+            )));
         }
         for (i, d) in self.devices.iter().enumerate() {
             if self.devices[..i].iter().any(|o| o.name == d.name) {
@@ -1674,6 +1681,13 @@ mod tests {
                 .with_nic(4, 64)
                 .with_device("nic", 2, DeviceSpec::Ssd);
         assert!(matches!(dup.validate(), Err(SpecError::Invalid(_))));
+
+        // Device ids index the stats table's MAX_DEVICES rows.
+        let crowded = (0..=a4_cache::MAX_DEVICES as u8)
+            .fold(ScenarioSpec::new("crowded", opts), |s, port| {
+                s.with_device(format!("ssd{port}"), port, DeviceSpec::Ssd)
+            });
+        assert!(matches!(crowded.validate(), Err(SpecError::Invalid(_))));
 
         let ghost_dev = ScenarioSpec::new("ghost", opts).with_workload(
             "fc",

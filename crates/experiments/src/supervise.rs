@@ -21,18 +21,18 @@
 //!
 //! Checkpoints follow the [`crate::cache`] store discipline: entries are
 //! the same checksummed envelopes, `{"payload_fnv": <`content key` of
-//! the ckpt JSON>, "ckpt": <ckpt>}`, written via temp-file + atomic
-//! rename through
-//! the [`Fs`] seam, with [`Backoff::fabric`] retries per filesystem
-//! step. A checkpoint is an *optimization*, never truth: a missing,
-//! torn, bit-flipped, version-skewed or key-mismatched entry is treated
-//! as **stale** — removed (best effort), counted, and the cell restarts
+//! the ckpt JSON>, "ckpt": <ckpt>}`, streamed to a temp file and
+//! renamed into place through the [`Fs`] seam, with
+//! [`crate::fault::Backoff::fabric`] retries per filesystem step. A
+//! checkpoint is an *optimization*, never truth: a missing, torn,
+//! bit-flipped, version-skewed or key-mismatched entry is treated as
+//! **stale** — removed (best effort), counted, and the cell restarts
 //! from quantum 0. Bad state is never served. Save failures likewise
 //! degrade to "no checkpoint" visibly (counted, warned once per
 //! process); the cell still completes.
 
-use crate::cache::{open, seal};
-use crate::fault::{Backoff, Fs, RealFs};
+use crate::cache::{open, publish};
+use crate::fault::{Fs, RealFs};
 use a4_core::{LlcPolicy, PolicyState, RunSupervisor, SupervisorCtx};
 use a4_sim::{MonitorSample, SystemState};
 use serde::{Deserialize, Serialize};
@@ -96,10 +96,6 @@ pub struct CkptStore {
     warned: Arc<AtomicBool>,
 }
 
-/// Distinguishes concurrent `save` calls within one process, so each
-/// writer owns a unique temp file.
-static CKPT_SEQ: AtomicU64 = AtomicU64::new(0);
-
 impl CkptStore {
     /// A store rooted at `dir` (created lazily on first save).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
@@ -154,36 +150,25 @@ impl CkptStore {
 
     /// Persists `ckpt` under its spec key (best effort: a full disk or
     /// missing permissions degrade to "no checkpoint", never to a
-    /// failed cell — but *counted* degradation). The write goes to a
-    /// per-writer temp file first and is moved into place atomically;
-    /// each filesystem step retries with [`Backoff::fabric`] on its own.
+    /// failed cell — but *counted* degradation). The envelope streams to
+    /// a temp file through a bounded buffer and is renamed into place
+    /// ([`crate::cache::publish`]).
     pub fn save(&self, ckpt: &CellCkpt) {
-        let envelope = seal("ckpt", ckpt);
-        let seq = CKPT_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.dir.join(format!(
-            ".{}.{}.{seq}.tmp",
-            ckpt.spec_key,
-            std::process::id()
-        ));
-        let mut retries = 0;
-        let backoff = Backoff::fabric();
-        let result = backoff
-            .retry(&mut retries, || {
-                self.fs
-                    .create_dir_all(&self.dir)
-                    .and_then(|()| self.fs.write(&tmp, envelope.as_bytes()))
-            })
-            .and_then(|()| {
-                backoff.retry(&mut retries, || {
-                    self.fs.rename(&tmp, &self.path_of(&ckpt.spec_key))
-                })
-            });
+        let key = &ckpt.spec_key;
+        let result = publish(
+            &*self.fs,
+            &self.dir,
+            key,
+            &self.path_of(key),
+            "ckpt",
+            ckpt,
+            &mut 0,
+        );
         match result {
             Ok(()) => {
                 self.saved.fetch_add(1, Ordering::Relaxed);
             }
             Err(e) => {
-                self.fs.remove_file(&tmp).ok();
                 self.write_failures.fetch_add(1, Ordering::Relaxed);
                 if !self.warned.swap(true, Ordering::Relaxed) {
                     eprintln!(

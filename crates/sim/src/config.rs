@@ -1,6 +1,6 @@
 //! System-level configuration.
 
-use a4_cache::{HierarchyConfig, UpiTopology};
+use a4_cache::{HierarchyConfig, UpiTopology, MAX_DEVICES};
 use a4_mem::MemoryConfig;
 use a4_model::{A4Error, Result, SimTime, MAX_SOCKETS};
 use serde::{Deserialize, Serialize};
@@ -213,6 +213,12 @@ impl SystemConfig {
                 what: "need at least one pcie port",
             });
         }
+        // One device per port, and the stats table has a row per device.
+        if self.pcie_ports > MAX_DEVICES {
+            return Err(A4Error::InvalidConfig {
+                what: "more pcie ports than the stats table has device rows",
+            });
+        }
         if self.time_dilation <= 0.0 {
             return Err(A4Error::InvalidConfig {
                 what: "time dilation must be positive",
@@ -251,6 +257,10 @@ mod tests {
         let mut cfg = SystemConfig::small_test();
         cfg.pcie_ports = 0;
         assert!(cfg.validate().is_err());
+        cfg.pcie_ports = MAX_DEVICES;
+        assert!(cfg.validate().is_ok());
+        cfg.pcie_ports = MAX_DEVICES + 1;
+        assert!(cfg.validate().is_err(), "a ninth device would share row 7");
         let mut cfg = SystemConfig::small_test();
         cfg.time_dilation = 0.0;
         assert!(cfg.validate().is_err());

@@ -8,6 +8,7 @@ use crate::sample::{DeviceSample, MonitorSample, UpiLinkSample, WorkloadSample};
 use crate::workload::Workload;
 use a4_cache::{
     CacheHierarchy, DmaRouter, HierarchyStats, RemoteCache, UpiFabric, WorkloadCounters,
+    MAX_DEVICES,
 };
 use a4_mem::MemoryController;
 use a4_model::{
@@ -311,7 +312,7 @@ impl System {
     ) -> Result<DeviceId> {
         self.check_socket(socket)?;
         config.validate()?;
-        let id = DeviceId(self.devices.len() as u8);
+        let id = self.next_device_id()?;
         let span = config.rings as u64 * config.ring_entries as u64 * config.slot_lines();
         let base = self.alloc_lines_on(socket, span);
         let nic = NicModel::new(id, config, base)?;
@@ -350,7 +351,7 @@ impl System {
     ) -> Result<DeviceId> {
         self.check_socket(socket)?;
         config.validate()?;
-        let id = DeviceId(self.devices.len() as u8);
+        let id = self.next_device_id()?;
         let ssd = NvmeModel::new(id, config)?;
         self.root.attach(port, id, DeviceClass::Nvme)?;
         self.devices.push(DeviceModel::Nvme(ssd));
@@ -359,6 +360,18 @@ impl System {
         self.device_owners.push(WorkloadId::UNATTRIBUTED);
         self.device_owners_stale = true;
         Ok(id)
+    }
+
+    /// The id the next attached device gets: its index, which must have
+    /// a row in the stats table.
+    fn next_device_id(&self) -> Result<DeviceId> {
+        u8::try_from(self.devices.len())
+            .ok()
+            .filter(|&i| usize::from(i) < MAX_DEVICES)
+            .map(DeviceId)
+            .ok_or(A4Error::InvalidConfig {
+                what: "more devices than the stats table has rows",
+            })
     }
 
     fn check_socket(&self, socket: usize) -> Result<()> {
@@ -559,8 +572,8 @@ impl System {
     /// register or flip activity, so the per-quantum cost is a `bool`
     /// check rather than a slots×devices rescan.
     fn refresh_device_owners(&mut self) {
-        for (i, owner) in self.device_owners.iter_mut().enumerate() {
-            let dev = DeviceId(i as u8);
+        for (owner, device) in self.device_owners.iter_mut().zip(&self.devices) {
+            let dev = device.device();
             // DMA of a device no active workload owns is accounted to the
             // explicit unattributed sentinel, never to workload 0.
             *owner = self
