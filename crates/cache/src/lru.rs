@@ -39,7 +39,10 @@ impl Recency {
     }
 
     /// Marks `way` as most recently used (branch-free move-to-front).
-    // a4-lint: allow-fn(counter-safety) -- SWAR nibble tricks: the wrap-around is the textbook zero-nibble-search bit hack over a packed permutation, not counter arithmetic
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "SWAR nibble tricks: the wrap-around is the textbook zero-nibble-search bit hack over a packed permutation, not counter arithmetic"
+    )]
     #[inline]
     pub(crate) fn touch(&mut self, way: usize, ways: usize) {
         let w = way as u64;

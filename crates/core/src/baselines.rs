@@ -105,14 +105,17 @@ impl LlcPolicy for IsolatePolicy {
             let end = (next_way + ways).min(LLC_WAYS);
             let mask = WayMask::from_range(next_way, end).expect("partition within range");
             let clos = ClosId((i + 1).min(15) as u8);
-            let _ = sys.cat_set_mask(clos, mask);
-            let _ = sys.cat_assign_workload(id, clos);
+            sys.cat_set_mask(clos, mask)
+                .expect("CLOS ids are clamped to 15 and each share has at least one way");
+            sys.cat_assign_workload(id, clos)
+                .expect("sampled workloads are known to the system");
             next_way = end;
             remaining = LLC_WAYS - next_way;
             if next_way >= LLC_WAYS {
                 // Out of ways: remaining workloads share the last way.
                 for (&later, _) in ids.iter().zip(&core_counts).skip(i + 1) {
-                    let _ = sys.cat_assign_workload(later, clos);
+                    sys.cat_assign_workload(later, clos)
+                        .expect("sampled workloads are known to the system");
                 }
                 break;
             }

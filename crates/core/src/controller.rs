@@ -272,7 +272,8 @@ impl A4Controller {
                     let dominant = storage_share > t.dmalk_io_tp_thr;
                     if ds.dca_enabled && leaking && missing && dominant {
                         // O4: disable DCA for the SSD and demote.
-                        let _ = sys.set_device_dca(dev, false);
+                        sys.set_device_dca(dev, false)
+                            .expect("a sampled storage device is attached to a port");
                         state.demote(AntagonistKind::StorageIo {
                             device: dev,
                             io_bytes_at_detection: ws.io_bytes.max(1),
@@ -289,7 +290,8 @@ impl A4Controller {
                     let base = io_bytes_at_detection as f64;
                     let now = ws.io_bytes as f64;
                     if (now - base).abs() / base > PHASE_FLUCTUATION {
-                        let _ = sys.set_device_dca(device, true);
+                        sys.set_device_dca(device, true)
+                            .expect("a demoted storage device is attached to a port");
                         state.restore();
                         changed = true;
                     }
@@ -419,15 +421,18 @@ impl A4Controller {
 
     /// Programs CAT according to the current zones and registry.
     fn apply(&mut self, sys: &mut System, lp_mask: WayMask) {
-        let _ = sys.cat_set_mask(CLOS_IO_HPW, WayMask::ALL);
-        let _ = sys.cat_set_mask(CLOS_HP, self.zones.hp);
-        let _ = sys.cat_set_mask(CLOS_LP, lp_mask);
+        // The four CLOS ids are below NUM_CLOS and every zone mask is a
+        // non-empty `WayMask`, so no mask write can be rejected.
+        let valid = "controller CLOS ids are in range and zone masks are non-empty";
+        sys.cat_set_mask(CLOS_IO_HPW, WayMask::ALL).expect(valid);
+        sys.cat_set_mask(CLOS_HP, self.zones.hp).expect(valid);
+        sys.cat_set_mask(CLOS_LP, lp_mask).expect(valid);
         let trash = if self.trash.is_empty() {
             Zones::trash_mask()
         } else {
             self.trash
         };
-        let _ = sys.cat_set_mask(CLOS_TRASH, trash);
+        sys.cat_set_mask(CLOS_TRASH, trash).expect(valid);
         for w in self.registry.values() {
             let clos = if w.antagonist.is_some() && self.cfg.level >= FeatureLevel::D {
                 CLOS_TRASH
@@ -438,7 +443,8 @@ impl A4Controller {
             } else {
                 CLOS_HP
             };
-            let _ = sys.cat_assign_workload(w.id, clos);
+            sys.cat_assign_workload(w.id, clos)
+                .expect("registered workloads come from the sample, so the system knows them");
         }
         self.masks_dirty = false;
     }

@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::let_underscore_must_use)]
 
 mod baselines;
 mod controller;

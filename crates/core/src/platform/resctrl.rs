@@ -16,7 +16,7 @@
 use a4_model::{A4Error, ClosId, CoreId, DeviceId, PortId, Result, WayMask};
 use a4_pcie::PerfCtrlSts;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A sink for control-plane writes (a real filesystem, or memory in
@@ -109,6 +109,9 @@ pub struct ResctrlBackend<F: FsWrite> {
     /// PCI config paths per port (BDF-addressed on real hardware).
     port_paths: BTreeMap<PortId, String>,
     device_ports: BTreeMap<DeviceId, PortId>,
+    /// Each group's cores: `cpus_list` holds a group's whole membership,
+    /// so moving one core rewrites both groups it touches.
+    groups: Mutex<BTreeMap<ClosId, BTreeSet<CoreId>>>,
 }
 
 impl<F: FsWrite> ResctrlBackend<F> {
@@ -119,6 +122,7 @@ impl<F: FsWrite> ResctrlBackend<F> {
             root: root.into(),
             port_paths: BTreeMap::new(),
             device_ports: BTreeMap::new(),
+            groups: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -150,19 +154,34 @@ impl<F: FsWrite> ResctrlBackend<F> {
         self.fs.write(&path, &contents)
     }
 
-    /// Pins cores to a CLOS group via `cpus_list`.
+    /// Moves cores into a CLOS group: the group's `cpus_list` gains
+    /// them, then every group they leave has its `cpus_list` rewritten
+    /// without them.
     ///
     /// # Errors
     ///
     /// Propagates sink failures.
     pub fn assign_cores(&self, clos: ClosId, cores: &[CoreId]) -> Result<()> {
-        let path = format!("{}/cpus_list", self.group_dir(clos));
-        let list = cores
-            .iter()
-            .map(|c| c.0.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        self.fs.write(&path, &format!("{list}\n"))
+        let mut groups = self.groups.lock();
+        let mut left = BTreeSet::new();
+        for (&other, members) in groups.iter_mut().filter(|(&other, _)| other != clos) {
+            let before = members.len();
+            members.retain(|c| !cores.contains(c));
+            if members.len() != before {
+                left.insert(other);
+            }
+        }
+        groups.entry(clos).or_default().extend(cores);
+        for group in std::iter::once(clos).chain(left) {
+            let list = groups[&group]
+                .iter()
+                .map(|c| c.0.to_string())
+                .collect::<Vec<_>>()
+                .join(",");
+            let path = format!("{}/cpus_list", self.group_dir(group));
+            self.fs.write(&path, &format!("{list}\n"))?;
+        }
+        Ok(())
     }
 
     /// Toggles DCA for a device's root port via `perfctrlsts_0`
@@ -171,7 +190,8 @@ impl<F: FsWrite> ResctrlBackend<F> {
     /// # Errors
     ///
     /// Returns [`A4Error::InvalidDevice`] for unregistered devices and
-    /// propagates sink failures.
+    /// propagates sink failures; a register that cannot be read is
+    /// left unwritten.
     pub fn set_device_dca(&self, device: DeviceId, enable: bool) -> Result<()> {
         let port = self
             .device_ports
@@ -181,7 +201,7 @@ impl<F: FsWrite> ResctrlBackend<F> {
             .port_paths
             .get(port)
             .ok_or(A4Error::InvalidDevice { device: device.0 })?;
-        let current = self.fs.read(path).unwrap_or_else(|_| "0x80".into());
+        let current = self.fs.read(path)?;
         let raw =
             u64::from_str_radix(current.trim().trim_start_matches("0x"), 16).map_err(|e| {
                 A4Error::Platform {
@@ -227,6 +247,41 @@ mod tests {
             .assign_cores(ClosId(3), &[CoreId(2), CoreId(5), CoreId(9)])
             .unwrap();
         assert_eq!(fs.get("/r/a4_clos3/cpus_list").as_deref(), Some("2,5,9\n"));
+    }
+
+    #[test]
+    fn cores_move_between_groups() {
+        let fs = MemFs::new();
+        let backend = ResctrlBackend::new(fs.clone(), "/r");
+        // Three low-priority workloads join CLOS 2 one after another.
+        backend
+            .assign_cores(ClosId(2), &[CoreId(2), CoreId(3)])
+            .unwrap();
+        backend.assign_cores(ClosId(2), &[CoreId(4)]).unwrap();
+        backend.assign_cores(ClosId(2), &[CoreId(6)]).unwrap();
+        assert_eq!(
+            fs.get("/r/a4_clos2/cpus_list").as_deref(),
+            Some("2,3,4,6\n")
+        );
+        // Moving a core rewrites the group it leaves, too.
+        backend.assign_cores(ClosId(3), &[CoreId(3)]).unwrap();
+        assert_eq!(fs.get("/r/a4_clos3/cpus_list").as_deref(), Some("3\n"));
+        assert_eq!(fs.get("/r/a4_clos2/cpus_list").as_deref(), Some("2,4,6\n"));
+    }
+
+    #[test]
+    fn unreadable_register_is_not_written() {
+        let fs = MemFs::new();
+        let mut backend = ResctrlBackend::new(fs.clone(), "/r");
+        backend.register_port(PortId(2), DeviceId(1), "/pci/port2/config");
+        assert!(matches!(
+            backend.set_device_dca(DeviceId(1), false),
+            Err(A4Error::Platform { .. })
+        ));
+        assert!(
+            fs.log().is_empty(),
+            "nothing written over an unread register"
+        );
     }
 
     #[test]

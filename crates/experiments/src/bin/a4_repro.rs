@@ -94,6 +94,9 @@
 //! report a fabric-health summary — the chaos knob CI uses to prove
 //! that an injected run merges byte-identically to a fault-free one.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::let_underscore_must_use, clippy::let_underscore_untyped)]
+
 use a4_experiments::cache::ResultCache;
 use a4_experiments::fig11;
 use a4_experiments::service::ServiceError;
@@ -124,6 +127,21 @@ fn emit(out: &mut impl Write, line: impl std::fmt::Display) {
         }
         fail(format!("cannot write to stdout: {e}"));
     }
+}
+
+/// Writes one of the CLI's own output files (`dir/name`, creating `dir`)
+/// and returns its path; any failure is fatal. Tables, spec dumps and
+/// timing results are not fabric state, so they bypass the `Fs` seam.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a4-repro's own output files are not store or queue state; fault injection does not cover them"
+)]
+fn write_output(dir: &str, name: &str, contents: &str) -> String {
+    std::fs::create_dir_all(dir)
+        .unwrap_or_else(|e| fail(format!("cannot create output dir {dir}: {e}")));
+    let path = format!("{dir}/{name}");
+    std::fs::write(&path, contents).unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
+    path
 }
 
 /// `assert!` for user input: bad arguments are usage errors (exit 2
@@ -208,6 +226,10 @@ fn timing_cell(opts: &RunOpts, scheme: Scheme) -> ScenarioSpec {
 /// Runs the hot-loop timing harness and writes `BENCH_hotloop.json`:
 /// wall-clock and quanta/sec for the fig12 representative cell under the
 /// Default and A4-d schemes (best of `reps` runs each).
+#[expect(
+    clippy::disallowed_types,
+    reason = "the timing harness measures wall time by design; it runs outside the simulation"
+)]
 fn run_timing(quick: bool, json_dir: Option<&str>) {
     let opts = if quick {
         RunOpts {
@@ -272,11 +294,7 @@ fn run_timing(quick: bool, json_dir: Option<&str>) {
         ));
     }
     json.push_str("  ]\n}\n");
-    let dir = json_dir.unwrap_or(".");
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| fail(format!("cannot create timing output dir {dir}: {e}")));
-    let path = format!("{dir}/BENCH_hotloop.json");
-    std::fs::write(&path, json).unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
+    let path = write_output(json_dir.unwrap_or("."), "BENCH_hotloop.json", &json);
     eprintln!("[a4-repro] wrote {path}");
 }
 
@@ -340,6 +358,10 @@ fn drain(
 }
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the CLI's arguments; a simulation sees only the specs built from them"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     let wanted = positional_args(&args).unwrap_or_else(|e| fail(e));
     let quick = switch(&args, "--quick");
@@ -705,6 +727,10 @@ fn main() {
     }
 
     if let Some(path) = &spec_file {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reads the user's spec file, which is not store or queue state"
+        )]
         let json = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(format!("cannot read spec file {path}: {e}")));
         let specs =
@@ -738,15 +764,11 @@ fn main() {
             "--json has no tables to write in --dump-specs mode; \
              combine --json with figure runs or --spec instead",
         );
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| fail(format!("cannot create spec output dir {dir}: {e}")));
         for f in figures().iter().filter(|f| wants(f.name)) {
             let specs = (f.specs)(&f.protocol.opts(quick));
-            let path = format!("{dir}/{}.specs.json", f.name);
             let json = serde_json::to_string_pretty(&specs)
                 .unwrap_or_else(|e| fail(format!("specs failed to serialize: {e}")));
-            std::fs::write(&path, json)
-                .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
+            let path = write_output(&dir, &format!("{}.specs.json", f.name), &json);
             eprintln!("[a4-repro] wrote {path} ({} cells)", specs.len());
         }
         if tables.is_empty() {
@@ -785,26 +807,18 @@ fn main() {
         emit(&mut stdout, stats);
     }
     if let Some(dir) = json_dir {
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| fail(format!("cannot create json output dir {dir}: {e}")));
-        let write_table = |path: String, table: &Table| {
-            let mut f = std::fs::File::create(&path)
-                .unwrap_or_else(|e| fail(format!("cannot create {path}: {e}")));
+        let write_table = |name: String, table: &Table| {
             let json = serde_json::to_string_pretty(table)
                 .unwrap_or_else(|e| fail(format!("table failed to serialize: {e}")));
-            f.write_all(json.as_bytes())
-                .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
+            let path = write_output(&dir, &name, &json);
             eprintln!("[a4-repro] wrote {path}");
         };
         for table in &tables {
-            write_table(format!("{dir}/{}.json", table.id), table);
+            write_table(format!("{}.json", table.id), table);
         }
         for stats in &replica_tables {
-            write_table(format!("{dir}/{}.mean.json", stats.mean.id), &stats.mean);
-            write_table(
-                format!("{dir}/{}.stddev.json", stats.stddev.id),
-                &stats.stddev,
-            );
+            write_table(format!("{}.mean.json", stats.mean.id), &stats.mean);
+            write_table(format!("{}.stddev.json", stats.stddev.id), &stats.stddev);
         }
     }
 }

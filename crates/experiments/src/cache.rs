@@ -40,8 +40,11 @@
 //!   sweep degrades to never-caching, visibly.
 //!
 //! All filesystem access goes through the [`Fs`] seam (enforced by the
-//! `fs-seam` lint rule), so chaos tests drive these paths with a
-//! seeded [`crate::fault::FaultFs`].
+//! root `clippy.toml` ban on `std::fs`), so chaos tests drive these
+//! paths with a seeded [`crate::fault::FaultFs`].
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::let_underscore_must_use, clippy::let_underscore_untyped)]
 
 use crate::fault::{Backoff, Fs, RealFs, Sink};
 use crate::spec::ScenarioSpec;
@@ -63,7 +66,10 @@ pub const CODE_SALT: &str = concat!("a4-sim/", env!("CARGO_PKG_VERSION"), "/r2")
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-// a4-lint: allow-fn(counter-safety) -- FNV-1a is a hash: modular wrap-around is the mixing step, not a counter
+#[expect(
+    clippy::disallowed_methods,
+    reason = "FNV-1a is a hash: modular wrap-around is the mixing step, not a counter"
+)]
 fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     for &b in bytes {
@@ -103,7 +109,10 @@ impl KeyStream {
         }
     }
 
-    // a4-lint: allow-fn(counter-safety) -- FNV-1a is a hash: modular wrap-around is the mixing step, not a counter
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "FNV-1a is a hash: modular wrap-around is the mixing step, not a counter"
+    )]
     fn update(&mut self, bytes: &[u8]) {
         // Both streams walk the bytes in one pass.
         let KeyStream { mut lo, mut hi } = *self;
@@ -400,6 +409,10 @@ impl ResultCache {
     /// `corrupt/` quarantine is likewise left alone. Returns
     /// `(removed, kept)` over cache artifacts; a missing directory is
     /// `(0, 0)`.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "entry ages are wall-clock mtime differences; gc never feeds a simulation"
+    )]
     pub fn gc(&self, max_age: std::time::Duration) -> (u64, u64) {
         let now = std::time::SystemTime::now();
         let (mut removed, mut kept) = (0, 0);

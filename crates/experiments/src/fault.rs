@@ -4,8 +4,9 @@
 //! [`crate::cache::ResultCache`] writing store entries, the
 //! [`crate::queue::JobQueue`] renaming tasks between its state
 //! directories — goes through the [`Fs`] trait instead of calling
-//! `std::fs` directly (an a4-lint `fs-seam` finding enforces this for
-//! the store files). Production code uses the zero-cost [`RealFs`];
+//! `std::fs` directly (clippy's `disallowed_methods` ban on `std::fs`
+//! enforces this everywhere but here; see the root `clippy.toml`).
+//! Production code uses the zero-cost [`RealFs`];
 //! chaos tests and the `A4_FAULTS` knob swap in a [`FaultFs`] that
 //! consumes a SplitMix64-derived schedule of injected faults:
 //!
@@ -31,12 +32,15 @@
 //! keeps (store write failures, quarantined entries, retries, reclaimed
 //! leases, poisoned tasks) into the one-line summary the CLI prints.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::let_underscore_must_use, clippy::let_underscore_untyped)]
+
 use std::fmt;
 use std::io::{self, BufWriter, Seek, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, SystemTime};
+use std::time::Duration;
 
 /// The filesystem operations the sweep fabric uses, as a seam.
 ///
@@ -75,7 +79,11 @@ pub trait Fs: fmt::Debug + Send + Sync {
     fn touch(&self, path: &Path) -> io::Result<()>;
 
     /// The file's modification time.
-    fn modified(&self, path: &Path) -> io::Result<SystemTime>;
+    #[expect(
+        clippy::disallowed_types,
+        reason = "Fs seam: file mtimes are wall-clock SystemTimes"
+    )]
+    fn modified(&self, path: &Path) -> io::Result<std::time::SystemTime>;
 
     /// Whether `path` exists.
     fn exists(&self, path: &Path) -> bool;
@@ -93,6 +101,11 @@ pub type Producer<'a> = dyn FnMut(Box<dyn Sink>) -> io::Result<Box<dyn Sink>> + 
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealFs;
 
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "Fs seam: RealFs is the one place the fabric touches std::fs and file mtimes"
+)]
 impl Fs for RealFs {
     fn write_with(&self, path: &Path, produce: &mut Producer<'_>) -> io::Result<()> {
         let file = BufWriter::new(std::fs::File::create(path)?);
@@ -126,10 +139,10 @@ impl Fs for RealFs {
         std::fs::File::options()
             .append(true)
             .open(path)?
-            .set_modified(SystemTime::now())
+            .set_modified(std::time::SystemTime::now())
     }
 
-    fn modified(&self, path: &Path) -> io::Result<SystemTime> {
+    fn modified(&self, path: &Path) -> io::Result<std::time::SystemTime> {
         std::fs::metadata(path)?.modified()
     }
 
@@ -141,7 +154,10 @@ impl Fs for RealFs {
 /// SplitMix64: the schedule generator (same mixer as
 /// [`crate::runner::derive_seed`], reused so one seed vocabulary covers
 /// both sweeps and fault schedules).
-// a4-lint: allow-fn(counter-safety) -- SplitMix64 mixer: wrapping arithmetic is the hash, not a counter
+#[expect(
+    clippy::disallowed_methods,
+    reason = "SplitMix64 mixer: wrapping arithmetic is the hash, not a counter"
+)]
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -242,6 +258,10 @@ impl FaultFs {
     /// Reads the `A4_FAULTS` environment knob: a decimal or `0x`-hex
     /// schedule seed. Returns `None` when unset or unparseable (the
     /// fabric must never fail to *start* because of a chaos knob).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the A4_FAULTS chaos knob is read from the environment by design; it never reaches a simulation"
+    )]
     pub fn from_env() -> Option<Arc<Self>> {
         let raw = std::env::var("A4_FAULTS").ok()?;
         let seed = parse_seed(&raw)?;
@@ -269,28 +289,36 @@ impl FaultFs {
     }
 
     /// Advances the schedule one mutating op and decides its fate.
-    fn decide(&self) -> Verdict {
+    ///
+    /// # Errors
+    ///
+    /// After the scripted crash every mutating op fails here, before it
+    /// touches anything: a dead process writes nothing.
+    fn decide(&self) -> io::Result<Verdict> {
         let mut st = self.lock();
         if st.dead {
-            return Verdict::Fail;
+            return Err(self.injected_error("crashed"));
         }
         let op = st.op;
         st.op += 1;
-        // a4-lint: allow(counter-safety) -- golden-ratio stride decorrelates per-op schedule words; hash math, not a counter
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "golden-ratio stride decorrelates per-op schedule words; hash math, not a counter"
+        )]
         let word = splitmix64(self.plan.seed ^ op.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         if self.plan.crash_at == Some(op) {
             st.dead = true;
             self.injected.fetch_add(1, Ordering::Relaxed);
-            return Verdict::Crash(word & 1 == 1);
+            return Ok(Verdict::Crash(word & 1 == 1));
         }
         let draw = (word >> 8) % 100;
         if draw < u64::from(self.plan.fail_pct) && st.consecutive < self.plan.max_consecutive {
             st.consecutive += 1;
             self.injected.fetch_add(1, Ordering::Relaxed);
-            Verdict::Fail
+            Ok(Verdict::Fail)
         } else {
             st.consecutive = 0;
-            Verdict::Proceed
+            Ok(Verdict::Proceed)
         }
     }
 }
@@ -306,7 +334,7 @@ fn parse_seed(raw: &str) -> Option<u64> {
 
 impl Fs for FaultFs {
     fn write_with(&self, path: &Path, produce: &mut Producer<'_>) -> io::Result<()> {
-        match self.decide() {
+        match self.decide()? {
             Verdict::Proceed => self.inner.write_with(path, produce),
             Verdict::Fail => {
                 // Half the failures are torn: the first half of the
@@ -317,6 +345,10 @@ impl Fs for FaultFs {
                 let word = splitmix64(self.plan.seed ^ self.injected());
                 if word & 1 == 1 {
                     self.inner.write_with(path, produce)?;
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "Fs seam: tearing a write truncates the file the inner RealFs wrote"
+                    )]
                     let file = std::fs::OpenOptions::new().write(true).open(path)?;
                     file.set_len(file.metadata()?.len() / 2)?;
                     Err(self.injected_error("torn write"))
@@ -334,7 +366,7 @@ impl Fs for FaultFs {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        match self.decide() {
+        match self.decide()? {
             Verdict::Proceed => self.inner.rename(from, to),
             Verdict::Fail => Err(self.injected_error("rename failed")),
             Verdict::Crash(applied) => {
@@ -370,7 +402,7 @@ impl Fs for FaultFs {
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        match self.decide() {
+        match self.decide()? {
             Verdict::Proceed => self.inner.remove_file(path),
             Verdict::Fail => Err(self.injected_error("remove failed")),
             Verdict::Crash(applied) => {
@@ -383,7 +415,7 @@ impl Fs for FaultFs {
     }
 
     fn touch(&self, path: &Path) -> io::Result<()> {
-        match self.decide() {
+        match self.decide()? {
             Verdict::Proceed => self.inner.touch(path),
             Verdict::Fail => Err(self.injected_error("touch failed")),
             Verdict::Crash(applied) => {
@@ -395,7 +427,11 @@ impl Fs for FaultFs {
         }
     }
 
-    fn modified(&self, path: &Path) -> io::Result<SystemTime> {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "Fs seam: file mtimes are wall-clock SystemTimes"
+    )]
+    fn modified(&self, path: &Path) -> io::Result<std::time::SystemTime> {
         if self.crashed() {
             return Err(self.injected_error("crashed"));
         }
@@ -689,6 +725,21 @@ mod tests {
             seen[usize::from(applied)] = true;
         }
         assert_eq!(seen, [true, true], "both crash polarities reachable");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn nothing_lands_after_a_crash() {
+        let dir = tmp("dead");
+        let fs = FaultFs::new(FaultPlan::crash_only(1, 0));
+        assert!(fs.write(&dir.join("crash"), b"x").is_err());
+        let injected = fs.injected();
+        for i in 0..8 {
+            let path = dir.join(format!("after-{i}"));
+            assert!(fs.write(&path, b"payload").is_err(), "dead after crash");
+            assert!(!path.exists(), "write {i} after the crash left a file");
+        }
+        assert_eq!(fs.injected(), injected, "only the crash counts as injected");
         std::fs::remove_dir_all(&dir).ok();
     }
 

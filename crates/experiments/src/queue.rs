@@ -38,11 +38,14 @@
 //! from parse-poison.
 //!
 //! All filesystem access goes through the [`Fs`] seam (enforced by the
-//! `fs-seam` lint rule), so the crash-consistency property tests
-//! drive every rename boundary with a seeded
+//! root `clippy.toml` ban on `std::fs`), so the crash-consistency
+//! property tests drive every rename boundary with a seeded
 //! [`crate::fault::FaultFs`] — including half-applied renames at a
 //! simulated crash point — and assert that a task is always in exactly
 //! one state directory and the queue always drains after recovery.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::let_underscore_must_use, clippy::let_underscore_untyped)]
 
 use crate::cache::content_key;
 use crate::fault::{Fs, RealFs};
@@ -506,6 +509,10 @@ impl JobQueue {
     /// # Errors
     ///
     /// Propagates directory-scan failures.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lease ages are wall-clock mtime differences; reclaim never feeds a simulation"
+    )]
     pub fn reclaim_stale(&self, max_age: Duration) -> Result<usize, QueueError> {
         let max_age = max_age.max(MIN_STALE_AGE);
         let now = std::time::SystemTime::now();

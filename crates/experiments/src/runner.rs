@@ -27,7 +27,10 @@ use std::sync::mpsc;
 /// Derives a per-cell seed from a base seed (SplitMix64 mixing): cells
 /// get decorrelated RNG streams while remaining a pure function of
 /// `(base, cell)` — re-running a dumped spec reproduces the same run.
-// a4-lint: allow-fn(counter-safety) -- SplitMix64 is an RNG mixer: wrap-around multiply/add IS the algorithm, nothing here counts anything
+#[expect(
+    clippy::disallowed_methods,
+    reason = "SplitMix64 is an RNG mixer: wrap-around multiply/add IS the algorithm, nothing here counts anything"
+)]
 pub fn derive_seed(base: u64, cell: u64) -> u64 {
     let mut z = base
         .wrapping_add(0x9E37_79B9_7F4A_7C15)

@@ -19,6 +19,9 @@
 //! the `a4-repro` CLI is one client of this registry, not the owner of
 //! it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::let_underscore_must_use, clippy::let_underscore_untyped)]
+
 use crate::cache::{spec_key, ResultCache};
 use crate::fault::{Backoff, FabricHealth};
 use crate::queue::{JobQueue, QueueError};
@@ -961,6 +964,9 @@ pub fn fabric_health(
     }
     health
 }
+
+#[cfg(a4_contract_fixture)]
+mod contract_fixture;
 
 #[cfg(test)]
 mod tests {

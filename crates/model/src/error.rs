@@ -56,6 +56,11 @@ pub enum A4Error {
         /// The offending device id.
         device: u8,
     },
+    /// A workload id referenced a workload the system does not host.
+    InvalidWorkload {
+        /// The offending workload id.
+        workload: u16,
+    },
     /// A configuration value was out of its legal range.
     InvalidConfig {
         /// Human-readable description of the rejected parameter.
@@ -88,6 +93,7 @@ impl fmt::Display for A4Error {
                 write!(f, "core {core} out of range (platform has {max} cores)")
             }
             A4Error::InvalidDevice { device } => write!(f, "unknown device id {device}"),
+            A4Error::InvalidWorkload { workload } => write!(f, "unknown workload id {workload}"),
             A4Error::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
             A4Error::Platform { what } => write!(f, "platform backend failure: {what}"),
         }
@@ -109,6 +115,7 @@ mod tests {
             A4Error::InvalidClos { clos: 99, max: 16 },
             A4Error::InvalidCore { core: 99, max: 18 },
             A4Error::InvalidDevice { device: 7 },
+            A4Error::InvalidWorkload { workload: 300 },
             A4Error::InvalidConfig {
                 what: "quantum must be nonzero",
             },

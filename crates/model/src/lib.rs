@@ -33,6 +33,9 @@ mod units;
 mod waymask;
 mod workload;
 
+#[cfg(a4_contract_fixture)]
+mod contract_fixture;
+
 pub use error::{A4Error, Result};
 pub use hist::Histogram;
 pub use ids::{ClosId, CoreId, DeviceId, PortId, WorkloadId};

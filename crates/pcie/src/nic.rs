@@ -311,8 +311,12 @@ impl NicModel {
             let written_at =
                 now + SimTime::from_nanos((dt.as_nanos() as f64 * frac.clamp(0.0, 1.0)) as u64);
             let ring_idx = self.rr_cursor % self.rings.len();
-            // a4-lint: allow(counter-safety) -- round-robin cursor: only ever read modulo ring count, so u64 wrap-around is harmless by construction
-            self.rr_cursor = self.rr_cursor.wrapping_add(1);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "round-robin cursor: only ever read modulo ring count, so wrap-around is harmless by construction"
+            )]
+            let next = self.rr_cursor.wrapping_add(1);
+            self.rr_cursor = next;
             let ring = &mut self.rings[ring_idx];
             if ring.is_full() {
                 self.dropped_packets += 1;

@@ -457,12 +457,12 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`A4Error::InvalidDevice`] for unknown workload ids.
+    /// Returns [`A4Error::InvalidWorkload`] for unknown workload ids.
     pub fn set_workload_active(&mut self, id: WorkloadId, active: bool) -> Result<()> {
         let slot = self
             .slots
             .get_mut(id.index())
-            .ok_or(A4Error::InvalidDevice { device: id.0 as u8 })?;
+            .ok_or(A4Error::InvalidWorkload { workload: id.0 })?;
         slot.active = active;
         self.device_owners_stale = true;
         Ok(())
@@ -472,12 +472,12 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`A4Error::InvalidDevice`] for unknown workload ids.
+    /// Returns [`A4Error::InvalidWorkload`] for unknown workload ids.
     pub fn set_workload_phase(&mut self, id: WorkloadId, phase: usize) -> Result<()> {
         let slot = self
             .slots
             .get_mut(id.index())
-            .ok_or(A4Error::InvalidDevice { device: id.0 as u8 })?;
+            .ok_or(A4Error::InvalidWorkload { workload: id.0 })?;
         slot.wl.set_phase(phase);
         Ok(())
     }
@@ -513,12 +513,12 @@ impl System {
     /// # Errors
     ///
     /// Propagates core/CLOS range errors; unknown workloads are an
-    /// [`A4Error::InvalidDevice`].
+    /// [`A4Error::InvalidWorkload`].
     pub fn cat_assign_workload(&mut self, id: WorkloadId, clos: ClosId) -> Result<()> {
         let cores: Vec<CoreId> = self
             .slots
             .get(id.index())
-            .ok_or(A4Error::InvalidDevice { device: id.0 as u8 })?
+            .ok_or(A4Error::InvalidWorkload { workload: id.0 })?
             .cores
             .clone();
         let cps = self.cfg.hierarchy.cores;
@@ -1355,6 +1355,17 @@ mod tests {
         s.cat_reset();
         assert_eq!(s.hierarchy().clos().mask_for_core(CoreId(3)), WayMask::ALL);
         assert!(s.cat_assign_workload(WorkloadId(99), ClosId(0)).is_err());
+        // An unknown id is reported as itself, not truncated to a u8.
+        let unknown = A4Error::InvalidWorkload { workload: 300 };
+        assert_eq!(
+            s.cat_assign_workload(WorkloadId(300), ClosId(0)),
+            Err(unknown.clone())
+        );
+        assert_eq!(
+            s.set_workload_active(WorkloadId(300), false),
+            Err(unknown.clone())
+        );
+        assert_eq!(s.set_workload_phase(WorkloadId(300), 1), Err(unknown));
     }
 
     #[test]
