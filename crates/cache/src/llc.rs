@@ -192,26 +192,6 @@ struct WayLine {
     meta: LineMeta,
 }
 
-// Way and extended-directory records keep the compact tuple encodings
-// `(tag, presence, meta)` and `(tag, presence)`: a checkpoint holds one
-// per way of every LLC set.
-impl Serialize for WayLine {
-    fn serialize(&self, w: &mut serde::JsonWriter) {
-        (self.tag, self.presence, self.meta).serialize(w);
-    }
-}
-
-impl Deserialize for WayLine {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let (tag, presence, meta) = Deserialize::from_value(v)?;
-        Ok(WayLine {
-            tag,
-            presence,
-            meta,
-        })
-    }
-}
-
 const INVALID_WAY: WayLine = WayLine {
     tag: 0,
     presence: 0,
@@ -230,18 +210,10 @@ struct ExtLine {
     presence: u32,
 }
 
-impl Serialize for ExtLine {
-    fn serialize(&self, w: &mut serde::JsonWriter) {
-        (self.tag, self.presence).serialize(w);
-    }
-}
-
-impl Deserialize for ExtLine {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let (tag, presence) = Deserialize::from_value(v)?;
-        Ok(ExtLine { tag, presence })
-    }
-}
+const INVALID_EXT: ExtLine = ExtLine {
+    tag: 0,
+    presence: 0,
+};
 
 /// One set's complete storage, 64-byte aligned: the scan header (flag
 /// lanes + both directories' tag digests) fills the first cache line, and
@@ -255,7 +227,7 @@ impl Deserialize for ExtLine {
 /// full-width vector op; the dead lanes are never written and the
 /// candidate mask is ANDed with the valid bits, which only ever cover
 /// the real ways.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C, align(64))]
 struct SetBlock {
     /// Valid/dirty/in-mlc way bitmaps in the three 16-bit lanes (one
@@ -275,6 +247,84 @@ struct SetBlock {
     ways: [WayLine; LLC_WAYS],
     /// Extended-directory records.
     ext: [ExtLine; EXT_DIR_EXCLUSIVE_WAYS],
+}
+
+/// Numbers in one encoded [`SetBlock`].
+const SET_WORDS: usize = 3 + 3 * LLC_WAYS + 2 * EXT_DIR_EXCLUSIVE_WAYS;
+
+// A checkpoint holds one set block per LLC set, as one flat array:
+// `flags, ext_valid, ext_order`, then `tag, presence, meta` for each
+// data way and `tag, presence` for each extended-directory way. The
+// digest lanes stay out: every tag write also writes its digest, and
+// lanes past the ways are never written, so decoding rebuilds them
+// from the tags.
+impl Serialize for SetBlock {
+    fn serialize(&self, w: &mut serde::JsonWriter) {
+        let SetBlock {
+            flags,
+            ext_valid,
+            tag16: _,
+            ext_tag16: _,
+            ext_order,
+            ways,
+            ext,
+        } = self;
+        w.open('[');
+        w.item(flags);
+        w.item(ext_valid);
+        w.item(ext_order);
+        for WayLine {
+            tag,
+            presence,
+            meta,
+        } in ways
+        {
+            w.item(tag);
+            w.item(presence);
+            w.item(meta);
+        }
+        for ExtLine { tag, presence } in ext {
+            w.item(tag);
+            w.item(presence);
+        }
+        w.close(']');
+    }
+}
+
+impl Deserialize for SetBlock {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let words = v.array_of_len(SET_WORDS)?;
+        let (head, records) = words.split_at(3);
+        let (way_words, ext_words) = records.split_at(3 * LLC_WAYS);
+        let mut tag16 = [0; 16];
+        let mut ways = [INVALID_WAY; LLC_WAYS];
+        for (w, rec) in way_words.chunks_exact(3).enumerate() {
+            ways[w] = WayLine {
+                tag: Deserialize::from_value(&rec[0])?,
+                presence: Deserialize::from_value(&rec[1])?,
+                meta: Deserialize::from_value(&rec[2])?,
+            };
+            tag16[w] = ways[w].tag as u16;
+        }
+        let mut ext_tag16 = [0; EXT_DIR_EXCLUSIVE_WAYS];
+        let mut ext = [INVALID_EXT; EXT_DIR_EXCLUSIVE_WAYS];
+        for (w, rec) in ext_words.chunks_exact(2).enumerate() {
+            ext[w] = ExtLine {
+                tag: Deserialize::from_value(&rec[0])?,
+                presence: Deserialize::from_value(&rec[1])?,
+            };
+            ext_tag16[w] = ext[w].tag as u16;
+        }
+        Ok(SetBlock {
+            flags: Deserialize::from_value(&head[0])?,
+            ext_valid: Deserialize::from_value(&head[1])?,
+            tag16,
+            ext_tag16,
+            ext_order: Deserialize::from_value(&head[2])?,
+            ways,
+            ext,
+        })
+    }
 }
 
 /// The shared last-level cache.
@@ -337,10 +387,7 @@ impl Llc {
                     ext_tag16: [0; EXT_DIR_EXCLUSIVE_WAYS],
                     ext_order: Recency::identity(EXT_DIR_EXCLUSIVE_WAYS),
                     ways: [INVALID_WAY; LLC_WAYS],
-                    ext: [ExtLine {
-                        tag: 0,
-                        presence: 0
-                    }; EXT_DIR_EXCLUSIVE_WAYS],
+                    ext: [INVALID_EXT; EXT_DIR_EXCLUSIVE_WAYS],
                 };
                 sets
             ],

@@ -37,21 +37,6 @@ struct MlcWayLine {
     meta: LineMeta,
 }
 
-// Way records keep the compact `(tag, meta)` tuple encoding: a
-// checkpoint holds one per way of every MLC set.
-impl Serialize for MlcWayLine {
-    fn serialize(&self, w: &mut serde::JsonWriter) {
-        (self.tag, self.meta).serialize(w);
-    }
-}
-
-impl Deserialize for MlcWayLine {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let (tag, meta) = Deserialize::from_value(v)?;
-        Ok(MlcWayLine { tag, meta })
-    }
-}
-
 const INVALID_WAY: MlcWayLine = MlcWayLine {
     tag: 0,
     meta: INVALID_META,
@@ -62,7 +47,7 @@ const INVALID_WAY: MlcWayLine = MlcWayLine {
 /// cache line and the way records follow in the same block — `lookup`
 /// runs on *every* simulated core access, and a lookup-plus-fill chain
 /// now stays within a handful of adjacent cache lines on one page.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C, align(64))]
 struct MlcSetBlock {
     /// Valid bitmap in the low lane, dirty bitmap in the high lane (one
@@ -92,7 +77,7 @@ struct MlcSetBlock {
 /// assert!(!mlc.lookup(LineAddr(2), false));
 /// # Ok::<(), a4_model::A4Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlc {
     geometry: MlcGeometry,
     // Precomputed address split (sets is a power of two).
@@ -104,6 +89,105 @@ pub struct Mlc {
     // True while every resident tag fits 16 bits (see `Llc`).
     digests_exact: bool,
     live: usize,
+}
+
+/// One set of an MLC with `ways` ways, as a checkpoint writes it: the
+/// flat array `flags, order`, then `tag, meta` for each of the
+/// geometry's ways. The digest lanes and the lanes past the ways stay
+/// out: every tag write also writes its digest, and the lanes past the
+/// ways are never written, so decoding rebuilds both.
+struct MlcSetWords<'a> {
+    blk: &'a MlcSetBlock,
+    ways: usize,
+}
+
+impl Serialize for MlcSetWords<'_> {
+    fn serialize(&self, w: &mut serde::JsonWriter) {
+        let MlcSetBlock {
+            flags,
+            order,
+            tag16: _,
+            ways,
+        } = self.blk;
+        w.open('[');
+        w.item(flags);
+        w.item(order);
+        for MlcWayLine { tag, meta } in &ways[..self.ways] {
+            w.item(tag);
+            w.item(meta);
+        }
+        w.close(']');
+    }
+}
+
+impl MlcSetBlock {
+    /// Decodes [`MlcSetWords`] for a geometry of `ways` ways.
+    fn from_words(v: &serde::Value, ways: usize) -> Result<Self, serde::Error> {
+        let words = v.array_of_len(2 + 2 * ways)?;
+        let (head, records) = words.split_at(2);
+        let mut tag16 = [0; 16];
+        let mut lanes = [INVALID_WAY; 16];
+        for (w, rec) in records.chunks_exact(2).enumerate() {
+            lanes[w] = MlcWayLine {
+                tag: Deserialize::from_value(&rec[0])?,
+                meta: Deserialize::from_value(&rec[1])?,
+            };
+            tag16[w] = lanes[w].tag as u16;
+        }
+        Ok(MlcSetBlock {
+            flags: Deserialize::from_value(&head[0])?,
+            order: Deserialize::from_value(&head[1])?,
+            tag16,
+            ways: lanes,
+        })
+    }
+}
+
+impl Serialize for Mlc {
+    fn serialize(&self, w: &mut serde::JsonWriter) {
+        let Mlc {
+            geometry,
+            set_mask,
+            tag_shift,
+            sets,
+            digests_exact,
+            live,
+        } = self;
+        let ways = geometry.ways();
+        w.open('{');
+        w.field("geometry", geometry);
+        w.field("set_mask", set_mask);
+        w.field("tag_shift", tag_shift);
+        w.key("sets");
+        w.seq(sets.iter().map(|blk| MlcSetWords { blk, ways }));
+        w.field("digests_exact", digests_exact);
+        w.field("live", live);
+        w.close('}');
+    }
+}
+
+impl Deserialize for Mlc {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let field = |name| v.get_field(name);
+        let geometry = MlcGeometry::from_value(field("geometry")?)?;
+        // The lane arrays hold 16 ways; a geometry past that (which
+        // `MlcGeometry::new` refuses) would index out of them.
+        MlcGeometry::new(geometry.sets(), geometry.ways())
+            .map_err(|e| serde::Error::new(format!("mlc geometry: {e}")))?;
+        let sets = field("sets")?
+            .as_array()?
+            .iter()
+            .map(|set| MlcSetBlock::from_words(set, geometry.ways()))
+            .collect::<Result<_, _>>()?;
+        Ok(Mlc {
+            geometry,
+            set_mask: Deserialize::from_value(field("set_mask")?)?,
+            tag_shift: Deserialize::from_value(field("tag_shift")?)?,
+            sets,
+            digests_exact: Deserialize::from_value(field("digests_exact")?)?,
+            live: Deserialize::from_value(field("live")?)?,
+        })
+    }
 }
 
 impl Mlc {

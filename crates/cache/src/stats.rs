@@ -197,12 +197,61 @@ impl DeviceCounters {
 /// assert_eq!(stats.workload(WorkloadId(0)).accesses(), 0);
 /// assert_eq!(stats.total.mem_read_lines, 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Its encoding leaves out the trailing run of all-zero workload rows
+/// (a run registers a handful of the 64); decoding pads them back and
+/// refuses more rows than the table has.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierarchyStats {
     /// System-wide totals (sums over all workloads plus unattributed I/O).
     pub total: WorkloadCounters,
     workloads: Vec<WorkloadCounters>,
     devices: Vec<DeviceCounters>,
+}
+
+impl Serialize for HierarchyStats {
+    fn serialize(&self, w: &mut serde::JsonWriter) {
+        let HierarchyStats {
+            total,
+            workloads,
+            devices,
+        } = self;
+        let zero = WorkloadCounters::default();
+        let used = workloads
+            .iter()
+            .rposition(|c| *c != zero)
+            .map_or(0, |i| i + 1);
+        w.open('{');
+        w.field("total", total);
+        w.field("workloads", &workloads[..used]);
+        w.field("devices", devices);
+        w.close('}');
+    }
+}
+
+impl Deserialize for HierarchyStats {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let mut workloads = Vec::<WorkloadCounters>::from_value(v.get_field("workloads")?)?;
+        if workloads.len() > MAX_WORKLOADS {
+            return Err(serde::Error::new(format!(
+                "{} workload stat rows, more than the table's {MAX_WORKLOADS}",
+                workloads.len()
+            )));
+        }
+        workloads.resize(MAX_WORKLOADS, WorkloadCounters::default());
+        let devices = Vec::<DeviceCounters>::from_value(v.get_field("devices")?)?;
+        if devices.len() != MAX_DEVICES {
+            return Err(serde::Error::new(format!(
+                "{} device stat rows, but the table has {MAX_DEVICES}",
+                devices.len()
+            )));
+        }
+        Ok(HierarchyStats {
+            total: Deserialize::from_value(v.get_field("total")?)?,
+            workloads,
+            devices,
+        })
+    }
 }
 
 impl Default for HierarchyStats {
@@ -366,6 +415,31 @@ fn ratio(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn encoding_drops_trailing_zero_workload_rows_and_pads_them_back() {
+        let mut s = HierarchyStats::new();
+        let json = serde_json::to_string(&s).unwrap();
+        assert!(json.contains(r#""workloads":[],"#), "{json}");
+        assert_eq!(serde_json::from_str::<HierarchyStats>(&json).unwrap(), s);
+
+        s.bump(WorkloadId(2), |c| c.llc_hits += 1);
+        s.bump(WorkloadId::UNATTRIBUTED, |c| c.llc_misses += 1);
+        let json = serde_json::to_string(&s).unwrap();
+        let back: HierarchyStats = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+
+        // The overflow row is in use, so all 64 rows are written: a 65th
+        // is refused, as is a short device table.
+        let row = serde_json::to_string(&WorkloadCounters::default()).unwrap();
+        let long = json.replace(r#""workloads":["#, &format!(r#""workloads":[{row},"#));
+        assert!(serde_json::from_str::<HierarchyStats>(&long).is_err());
+        let dev = serde_json::to_string(&DeviceCounters::default()).unwrap();
+        let short = json.replace(&format!("{dev},"), "");
+        assert_ne!(short, json);
+        assert!(serde_json::from_str::<HierarchyStats>(&short).is_err());
+    }
 
     #[test]
     fn rates_handle_zero_denominators() {

@@ -95,6 +95,38 @@ impl Value {
         }
     }
 
+    /// The elements of a [`Value::Array`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `self` is not an array.
+    pub fn as_array(&self) -> Result<&[Value], Error> {
+        match self {
+            Value::Array(items) => Ok(items),
+            other => Err(Error::new(format!(
+                "expected array, found {}",
+                other.kind()
+            ))),
+        }
+    }
+
+    /// The elements of a [`Value::Array`] of exactly `len` elements.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `self` is not an array of that length.
+    pub fn array_of_len(&self, len: usize) -> Result<&[Value], Error> {
+        let items = self.as_array()?;
+        if items.len() == len {
+            Ok(items)
+        } else {
+            Err(Error::new(format!(
+                "expected array of length {len}, found {}",
+                items.len()
+            )))
+        }
+    }
+
     /// A short name for the variant, for error messages.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -527,6 +559,7 @@ ser_with! {
         });
         w.close('}');
     };
+    [T: Serialize] [T] => |v, w| w.seq(v);
     [T: Serialize] Vec<T> => |v, w| w.seq(v);
     [T: Serialize] VecDeque<T> => |v, w| w.seq(v);
     [T: Serialize, const N: usize] [T; N] => |v, w| w.seq(v);
@@ -543,13 +576,7 @@ impl<T: Deserialize> Deserialize for Option<T> {
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::new(format!(
-                "expected array, found {}",
-                other.kind()
-            ))),
-        }
+        v.as_array()?.iter().map(T::from_value).collect()
     }
 }
 

@@ -95,22 +95,34 @@ where
     status.map(|()| writer)
 }
 
+/// The deepest nesting of arrays and objects [`from_str`] accepts. The
+/// parser recurses once per level, so an unbounded input could overflow
+/// the stack; this workspace's own files nest far less deeply.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a `T`.
 ///
 /// # Errors
 ///
-/// Returns an [`Error`] on malformed JSON or a shape mismatch.
+/// Returns an [`Error`] on malformed JSON, nesting deeper than
+/// [`MAX_DEPTH`], or a shape mismatch.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+    Ok(T::from_value(&parse(s)?)?)
+}
+
+/// Parses one JSON document into a [`Value`] tree.
+fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
     }
-    Ok(T::from_value(&value)?)
+    Ok(value)
 }
 
 // ---------------------------------------------------------------------------
@@ -120,6 +132,8 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -163,58 +177,77 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(Error::new(format!("bad array at byte {}", self.pos))),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Map(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    fields.push((key, self.parse_value()?));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Map(fields));
-                        }
-                        _ => return Err(Error::new(format!("bad object at byte {}", self.pos))),
-                    }
-                }
-            }
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             other => Err(Error::new(format!(
                 "unexpected character {:?} at byte {}",
                 other.map(|c| c as char),
                 self.pos
             ))),
+        }
+    }
+
+    /// Runs `parse` one nesting level down, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn parse_array(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Array(items));
+                }
+                _ => return Err(Error::new(format!("bad array at byte {}", self.pos))),
+            }
+        }
+    }
+
+    fn parse_object(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Map(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            fields.push((key, self.parse_value()?));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Map(fields));
+                }
+                _ => return Err(Error::new(format!("bad object at byte {}", self.pos))),
+            }
         }
     }
 
@@ -355,6 +388,28 @@ mod tests {
             from_str::<Vec<std::collections::BTreeMap<String, u64>>>(&json).unwrap(),
             doc
         );
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_positioned_error() {
+        let nest = |depth: usize, open: &str, inner: &str, close: &str| {
+            format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, inner, close) in [("[", "", "]"), ("{\"k\":", "0", "}")] {
+            let deepest = nest(MAX_DEPTH, open, inner, close);
+            assert!(parse(&deepest).is_ok(), "{open}");
+            let err = parse(&nest(MAX_DEPTH + 1, open, inner, close))
+                .expect_err("one level past the bound");
+            let at = MAX_DEPTH * open.len();
+            assert_eq!(
+                err.to_string(),
+                format!("nesting deeper than {MAX_DEPTH} levels at byte {at}")
+            );
+        }
+        // Far past the bound, as in a hostile file: an error, not a
+        // stack overflow.
+        let hostile = "[".repeat(400_000);
+        assert!(parse(&hostile).is_err());
     }
 
     #[test]

@@ -189,18 +189,19 @@ impl<F: FsWrite> ResctrlBackend<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`A4Error::InvalidDevice`] for unregistered devices and
-    /// propagates sink failures; a register that cannot be read is
+    /// Returns [`A4Error::InvalidDevice`] for unregistered devices,
+    /// [`A4Error::InvalidPort`] for a device on a port with no register
+    /// path, and propagates sink failures; a register that cannot be read is
     /// left unwritten.
     pub fn set_device_dca(&self, device: DeviceId, enable: bool) -> Result<()> {
         let port = self
             .device_ports
             .get(&device)
             .ok_or(A4Error::InvalidDevice { device: device.0 })?;
-        let path = self
-            .port_paths
-            .get(port)
-            .ok_or(A4Error::InvalidDevice { device: device.0 })?;
+        let path = self.port_paths.get(port).ok_or(A4Error::InvalidPort {
+            port: port.0,
+            occupant: None,
+        })?;
         let current = self.fs.read(path)?;
         let raw =
             u64::from_str_radix(current.trim().trim_start_matches("0x"), 16).map_err(|e| {

@@ -636,6 +636,15 @@ fn main() {
             );
             report_poisoned(&queue);
             print_health(Some(&queue), Some(&report));
+            if let Some(ckpts) = runner.ckpt_store() {
+                // A refused checkpoint re-simulates its cell to the same
+                // table, so only this count shows that resuming works.
+                eprintln!(
+                    "[a4-ckpt] resumed {}, stale {}",
+                    ckpts.resumed(),
+                    ckpts.stale()
+                );
+            }
             return;
         }
         if enqueue {
@@ -739,6 +748,10 @@ fn main() {
             !specs.is_empty(),
             format!("{path} contains no scenario specs"),
         );
+        for (i, spec) in specs.iter().enumerate() {
+            spec.validate()
+                .unwrap_or_else(|e| fail(format!("{path}: spec {i}: {e}")));
+        }
         eprintln!(
             "[a4-repro] running {} scenario(s) from {path} on {threads} thread(s)...",
             specs.len()

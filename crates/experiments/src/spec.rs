@@ -838,13 +838,16 @@ impl ScenarioSpec {
         specs.into_iter().map(Self::migrate).collect()
     }
 
-    /// Checks internal consistency without building the system.
+    /// Checks internal consistency without building the system. The
+    /// [`SystemConfig`] the spec describes must pass
+    /// [`SystemConfig::validate`], the check [`System::new`] asserts, so
+    /// a spec that validates never panics in [`Self::build`].
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] for duplicate names, unknown
-    /// device references, empty core lists and out-of-vocabulary
-    /// workloads.
+    /// Returns [`SpecError::Invalid`] for system overrides the simulator
+    /// cannot build, duplicate names, unknown device references, empty
+    /// core lists and out-of-vocabulary workloads.
     pub fn validate(&self) -> std::result::Result<(), SpecError> {
         if self.schema > SCHEMA_VERSION {
             return Err(SpecError::Invalid(format!(
@@ -852,11 +855,11 @@ impl ScenarioSpec {
                 self.schema
             )));
         }
-        if let Some(cores) = self.system.cores {
-            if cores == 0 {
-                return Err(SpecError::Invalid("core count override is zero".into()));
-            }
-        }
+        // The system the spec would build must pass the checks
+        // `System::new` asserts, so a valid spec always builds.
+        wire::system_config(&self.opts, &self.system)
+            .validate()
+            .map_err(|e| SpecError::Invalid(format!("system overrides: {e}")))?;
         if let Some(ways) = self.system.dca_ways {
             if !(1..=a4_model::LLC_WAYS).contains(&ways) {
                 return Err(SpecError::Invalid(format!(
@@ -865,27 +868,8 @@ impl ScenarioSpec {
                 )));
             }
         }
-        if let Some(channels) = self.system.mem_channels {
-            if channels == 0 {
-                return Err(SpecError::Invalid("memory channel override is zero".into()));
-            }
-        }
         let sockets = self.system.socket_count();
         let cps = self.system.cores_per_socket();
-        if !(1..=a4_model::MAX_SOCKETS).contains(&sockets) {
-            return Err(SpecError::Invalid(format!(
-                "sockets override {sockets} unsupported: the NUMA model covers 1 to \
-                 {} sockets",
-                a4_model::MAX_SOCKETS
-            )));
-        }
-        if self.system.upi_gbps.is_some_and(|g| g <= 0.0) {
-            return Err(SpecError::Invalid(format!(
-                "upi_gbps override {:?} must be positive — use None for an \
-                 unthrottled link",
-                self.system.upi_gbps
-            )));
-        }
         for (i, o) in self.system.socket_dca_ways.iter().enumerate() {
             if o.socket as usize >= sockets {
                 return Err(SpecError::Invalid(format!(
@@ -1441,7 +1425,8 @@ impl ScenarioRun {
 pub(crate) mod wire {
     use super::*;
 
-    pub(crate) fn base_system(opts: &RunOpts, tweaks: &SystemTweaks) -> System {
+    /// The configuration `base_system` builds its system from.
+    pub(crate) fn system_config(opts: &RunOpts, tweaks: &SystemTweaks) -> SystemConfig {
         let mut cfg = SystemConfig::xeon_gold_6140();
         cfg.seed = opts.seed;
         if let Some(cores) = tweaks.cores {
@@ -1459,7 +1444,11 @@ pub(crate) mod wire {
         if tweaks.upi_gbps.is_some() {
             cfg.upi_gbps = tweaks.upi_gbps;
         }
-        let mut sys = System::new(cfg);
+        cfg
+    }
+
+    pub(crate) fn base_system(opts: &RunOpts, tweaks: &SystemTweaks) -> System {
+        let mut sys = System::new(system_config(opts, tweaks));
         if let Some(ways) = tweaks.dca_ways {
             let mask = WayMask::from_range(0, ways).expect("validated dca way count");
             for socket in 0..sys.sockets() {

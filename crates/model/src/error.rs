@@ -51,10 +51,19 @@ pub enum A4Error {
         /// Number of cores on the platform.
         max: u8,
     },
-    /// A device or port id referenced hardware that does not exist.
+    /// A device id referenced a device that does not exist.
     InvalidDevice {
         /// The offending device id.
         device: u8,
+    },
+    /// A PCIe port id referenced a port that does not exist, or a port
+    /// that already has a device attached.
+    InvalidPort {
+        /// The offending port id.
+        port: u8,
+        /// The device attached to the port; `None` if the port does not
+        /// exist.
+        occupant: Option<u8>,
     },
     /// A workload id referenced a workload the system does not host.
     InvalidWorkload {
@@ -93,6 +102,14 @@ impl fmt::Display for A4Error {
                 write!(f, "core {core} out of range (platform has {max} cores)")
             }
             A4Error::InvalidDevice { device } => write!(f, "unknown device id {device}"),
+            A4Error::InvalidPort {
+                port,
+                occupant: None,
+            } => write!(f, "pcie port {port} does not exist"),
+            A4Error::InvalidPort {
+                port,
+                occupant: Some(device),
+            } => write!(f, "pcie port {port} is occupied by device {device}"),
             A4Error::InvalidWorkload { workload } => write!(f, "unknown workload id {workload}"),
             A4Error::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
             A4Error::Platform { what } => write!(f, "platform backend failure: {what}"),
@@ -115,6 +132,14 @@ mod tests {
             A4Error::InvalidClos { clos: 99, max: 16 },
             A4Error::InvalidCore { core: 99, max: 18 },
             A4Error::InvalidDevice { device: 7 },
+            A4Error::InvalidPort {
+                port: 7,
+                occupant: None,
+            },
+            A4Error::InvalidPort {
+                port: 0,
+                occupant: Some(3),
+            },
             A4Error::InvalidWorkload { workload: 300 },
             A4Error::InvalidConfig {
                 what: "quantum must be nonzero",

@@ -5,7 +5,7 @@
 //! recording O(1) and memory bounded while giving ~2.4 % worst-case relative
 //! error on percentiles — ample for reproducing figure *shapes*.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 
 /// Sub-buckets per power of two (higher = finer percentile resolution).
 const SUBBUCKETS: usize = 32;
@@ -28,13 +28,59 @@ const RANGES: usize = 40;
 /// assert!((960..=1024).contains(&p99), "p99 was {p99}");
 /// assert!((h.mean() - 500.5).abs() < 20.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Its encoding leaves out the trailing run of empty buckets, which is
+/// most of them for any one latency kind; decoding pads the buckets back
+/// to their fixed count and refuses more.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
     sum: u128,
     max: u64,
     min: u64,
+}
+
+impl Serialize for Histogram {
+    fn serialize(&self, w: &mut JsonWriter) {
+        let Histogram {
+            buckets,
+            count,
+            sum,
+            max,
+            min,
+        } = self;
+        let used = buckets.iter().rposition(|&n| n != 0).map_or(0, |i| i + 1);
+        w.open('{');
+        w.field("buckets", &buckets[..used]);
+        w.field("count", count);
+        w.field("sum", sum);
+        w.field("max", max);
+        w.field("min", min);
+        w.close('}');
+    }
+}
+
+impl Deserialize for Histogram {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let field = |name| v.get_field(name);
+        let mut buckets = Vec::<u64>::from_value(field("buckets")?)?;
+        if buckets.len() > SUBBUCKETS * RANGES {
+            return Err(serde::Error::new(format!(
+                "histogram has {} buckets, more than its {}",
+                buckets.len(),
+                SUBBUCKETS * RANGES
+            )));
+        }
+        buckets.resize(SUBBUCKETS * RANGES, 0);
+        Ok(Histogram {
+            buckets,
+            count: Deserialize::from_value(field("count")?)?,
+            sum: Deserialize::from_value(field("sum")?)?,
+            max: Deserialize::from_value(field("max")?)?,
+            min: Deserialize::from_value(field("min")?)?,
+        })
+    }
 }
 
 impl Default for Histogram {
@@ -250,6 +296,29 @@ mod tests {
     #[should_panic(expected = "quantile")]
     fn percentile_rejects_bad_quantile() {
         Histogram::new().percentile(1.5);
+    }
+
+    #[test]
+    fn encoding_drops_trailing_empty_buckets_and_decodes_to_the_same_histogram() {
+        let empty = Histogram::new();
+        let json = serde_json::to_string(&empty).unwrap();
+        assert!(json.starts_with(r#"{"buckets":[],"#), "{json}");
+        assert_eq!(serde_json::from_str::<Histogram>(&json).unwrap(), empty);
+
+        let mut h = Histogram::new();
+        h.record(3);
+        h.record_n(1_000, 5);
+        h.record(u64::MAX);
+        let json = serde_json::to_string(&h).unwrap();
+        let back: Histogram = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, h);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+
+        // The last bucket is in use, so nothing is dropped, and one more
+        // bucket is refused.
+        let full = json.replace(r#"],"count""#, r#",0],"count""#);
+        assert_ne!(full, json);
+        assert!(serde_json::from_str::<Histogram>(&full).is_err());
     }
 
     proptest! {

@@ -63,8 +63,9 @@ impl PcieRoot {
     ///
     /// # Errors
     ///
-    /// Returns [`A4Error::InvalidDevice`] if the port is out of range or
-    /// already occupied, or the device is already attached elsewhere.
+    /// Returns [`A4Error::InvalidPort`] if the port is out of range or
+    /// already occupied, and [`A4Error::InvalidDevice`] if the device is
+    /// already attached elsewhere.
     pub fn attach(&mut self, port: PortId, device: DeviceId, class: DeviceClass) -> Result<()> {
         if self.find_port(device).is_some() {
             return Err(A4Error::InvalidDevice { device: device.0 });
@@ -72,9 +73,15 @@ impl PcieRoot {
         let slot = self
             .ports
             .get_mut(port.index())
-            .ok_or(A4Error::InvalidDevice { device: device.0 })?;
-        if slot.device.is_some() {
-            return Err(A4Error::InvalidDevice { device: device.0 });
+            .ok_or(A4Error::InvalidPort {
+                port: port.0,
+                occupant: None,
+            })?;
+        if let Some(occupant) = slot.device {
+            return Err(A4Error::InvalidPort {
+                port: port.0,
+                occupant: Some(occupant.0),
+            });
         }
         slot.device = Some(device);
         slot.class = Some(class);
@@ -102,11 +109,12 @@ impl PcieRoot {
     ///
     /// # Errors
     ///
-    /// Returns [`A4Error::InvalidDevice`] for out-of-range ports.
+    /// Returns [`A4Error::InvalidPort`] for out-of-range ports.
     pub fn port(&self, port: PortId) -> Result<&PortState> {
-        self.ports
-            .get(port.index())
-            .ok_or(A4Error::InvalidDevice { device: port.0 })
+        self.ports.get(port.index()).ok_or(A4Error::InvalidPort {
+            port: port.0,
+            occupant: None,
+        })
     }
 
     /// Whether DMA writes from `device` currently use DCA.
@@ -183,12 +191,35 @@ mod tests {
     #[test]
     fn attach_rejects_conflicts() {
         let mut r = root();
+        let err = |e: A4Error| e.to_string();
         // Port occupied.
-        assert!(r.attach(PortId(0), DeviceId(5), DeviceClass::Nvme).is_err());
+        assert_eq!(
+            r.attach(PortId(0), DeviceId(5), DeviceClass::Nvme)
+                .map_err(err),
+            Err("pcie port 0 is occupied by device 0".into())
+        );
         // Device already attached.
-        assert!(r.attach(PortId(2), DeviceId(0), DeviceClass::Nic).is_err());
+        assert_eq!(
+            r.attach(PortId(2), DeviceId(0), DeviceClass::Nic),
+            Err(A4Error::InvalidDevice { device: 0 })
+        );
         // Port out of range.
-        assert!(r.attach(PortId(9), DeviceId(5), DeviceClass::Nvme).is_err());
+        assert_eq!(
+            r.attach(PortId(9), DeviceId(5), DeviceClass::Nvme)
+                .map_err(err),
+            Err("pcie port 9 does not exist".into())
+        );
+        assert_eq!(r.devices().count(), 2, "no failed attach landed");
+    }
+
+    #[test]
+    fn port_names_the_missing_port() {
+        let r = root();
+        assert!(r.port(PortId(2)).is_ok());
+        assert_eq!(
+            r.port(PortId(7)).map_err(|e| e.to_string()),
+            Err("pcie port 7 does not exist".into())
+        );
     }
 
     #[test]

@@ -190,7 +190,7 @@ impl SystemConfig {
         self.memory.validate()?;
         if !(1..=MAX_SOCKETS).contains(&self.sockets) {
             return Err(A4Error::InvalidConfig {
-                what: "sockets must be in 1..=4",
+                what: "sockets must be in 1..=4 (the NUMA model covers 1 to 4 sockets)",
             });
         }
         if self.upi_gbps.is_some_and(|g| g <= 0.0) {

@@ -24,7 +24,7 @@ use std::sync::Arc;
 /// Version tag of the [`SystemState`] snapshot encoding. Bump whenever a
 /// checkpointed struct gains, loses, or re-encodes a field; restore
 /// rejects snapshots from any other version as stale.
-pub const SYSTEM_CKPT_VERSION: u32 = 3;
+pub const SYSTEM_CKPT_VERSION: u32 = 4;
 
 #[derive(Debug)]
 struct Slot {
@@ -1588,6 +1588,77 @@ mod tests {
             assert!(!s.restore_state(&bad), "{within} {array}");
             assert_eq!(serde_json::to_string(&s.save_state()).unwrap(), before);
         }
+        let good: SystemState = serde_json::from_str(&json).unwrap();
+        assert!(s.restore_state(&good));
+    }
+
+    /// The compact cache words are checked on decode: a metadata bit
+    /// the encoder never sets, or an MLC set with more lanes than its
+    /// geometry has ways, fails to parse. An MLC whose recorded geometry
+    /// has more ways than the system's parses, since its words agree
+    /// with that geometry, and restoring it fails with the system
+    /// untouched.
+    #[test]
+    fn restore_refuses_cache_words_its_geometry_cannot_hold() {
+        let mut s = sys();
+        let base = s.alloc_lines(64);
+        s.add_workload(
+            Box::new(Streamer {
+                base,
+                lines: 64,
+                cursor: 0,
+            }),
+            vec![CoreId(0)],
+            Priority::High,
+        )
+        .unwrap();
+        s.run_quanta(3);
+        let json = serde_json::to_string(&s.save_state()).unwrap();
+        s.run_quanta(2);
+        let before = serde_json::to_string(&s.save_state()).unwrap();
+
+        // The first LLC set's words, and the first MLC's geometry and sets.
+        let llc = json.find("\"llc\":{\"geometry\"").unwrap();
+        let llc_set = llc + json[llc..].find("\"sets\":[[").unwrap() + "\"sets\":[".len();
+        let llc_set = llc_set..llc_set + json[llc_set..].find(']').unwrap();
+        let mlc = "\"mlcs\":[{\"geometry\":{\"sets\":8,\"ways\":4}";
+        let mlc_at = json.find(mlc).unwrap();
+        let mlc_sets = mlc_at + json[mlc_at..].find("\"sets\":[").unwrap();
+        let mlc_sets = mlc_sets..mlc_sets + json[mlc_sets..].find("]]").unwrap() + 2;
+
+        // Word 5 is way 0's packed metadata.
+        let mut words: Vec<String> = json[llc_set.start + 1..llc_set.end]
+            .split(',')
+            .map(str::to_owned)
+            .collect();
+        words[5] = (words[5].parse::<u64>().unwrap() | 1 << 40).to_string();
+        let unknown_bit = format!(
+            "{}[{}{}",
+            &json[..llc_set.start],
+            words.join(","),
+            &json[llc_set.end..]
+        );
+        assert!(serde_json::from_str::<SystemState>(&unknown_bit).is_err());
+
+        // One extra lane (tag 0, consumed metadata) in the first MLC set.
+        let first_close = mlc_sets.start + json[mlc_sets.clone()].find(']').unwrap();
+        let extra_lane = format!("{},0,2{}", &json[..first_close], &json[first_close..]);
+        assert!(serde_json::from_str::<SystemState>(&extra_lane).is_err());
+
+        // A fifth way in the first MLC's geometry and in every one of its
+        // sets.
+        let each_set = &json[mlc_sets.start..mlc_sets.end - 1];
+        let wider = format!(
+            "{}{}{}",
+            &json[..mlc_sets.start],
+            each_set.replace(']', ",0,2]"),
+            &json[mlc_sets.end - 1..]
+        )
+        .replacen(mlc, &mlc.replace("\"ways\":4", "\"ways\":5"), 1);
+        let wider: SystemState = serde_json::from_str(&wider).unwrap();
+        assert!(!s.restore_state(&wider));
+        assert_eq!(serde_json::to_string(&s.save_state()).unwrap(), before);
+
         let good: SystemState = serde_json::from_str(&json).unwrap();
         assert!(s.restore_state(&good));
     }

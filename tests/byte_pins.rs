@@ -135,7 +135,7 @@ fn report_store_entry_and_checkpoint_envelope_are_pinned() {
             "cb8f5954550e9bc9b9fe162115f6f898",
             (0x8e03_cb0a_3223_4758, 1_862),
             (0x29f8_921e_b923_2376, 1_922),
-            (0x9323_2df2_0dfe_47cc, 2_171_021),
+            (0x578e_1948_f741_7005, 262_973),
         ),
         "store bytes changed"
     );

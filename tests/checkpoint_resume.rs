@@ -342,7 +342,7 @@ fn checkpoint_bytes_are_pinned() {
     );
     assert_eq!(
         got,
-        (0x08c5_ba20_a8c5_571a, 122_761, 0x757e_f4b3_0e1e_5edb, 620),
+        (0x6215_7cd1_5286_3c34, 12_485, 0x757e_f4b3_0e1e_5edb, 620),
         "checkpoint bytes changed"
     );
 }

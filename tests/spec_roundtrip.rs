@@ -130,6 +130,28 @@ proptest! {
         prop_assert_eq!(back, spec);
     }
 
+    /// `validate` is the whole input check: a spec it accepts builds.
+    /// The strategy's specs validate or not depending on their core,
+    /// socket and DCA overrides; widened core and socket counts add
+    /// out-of-range ones.
+    #[test]
+    fn a_valid_spec_builds(
+        spec in spec_strategy(),
+        cores in prop_oneof![Just(None), (0usize..70).prop_map(Some)],
+        sockets in prop_oneof![Just(None), (0usize..6).prop_map(Some)],
+        widen in any::<bool>(),
+    ) {
+        let mut spec = spec;
+        if widen {
+            spec.system.cores = cores;
+            spec.system.sockets = sockets;
+        }
+        if spec.validate().is_ok() {
+            let built = spec.build();
+            prop_assert!(built.is_ok(), "validated spec failed to build: {:?}", built.err());
+        }
+    }
+
     #[test]
     fn workload_spec_roundtrip(w in workload_strategy()) {
         let json = serde_json::to_string(&w).unwrap();
